@@ -38,6 +38,15 @@ fn bench_density_matrix(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("noisy_fche_p1", n), &circuit, |b, circ| {
             b.iter(|| run_noisy(circ, &noise));
         });
+        // NISQ adds thermal relaxation on every gate and idle slot.
+        let nisq = eft_vqa::ExecutionRegime::nisq_default().noise_model();
+        group.bench_with_input(
+            BenchmarkId::new("noisy_fche_nisq", n),
+            &circuit,
+            |b, circ| {
+                b.iter(|| run_noisy(circ, &nisq));
+            },
+        );
         group.bench_with_input(BenchmarkId::new("pure_fche_p1", n), &circuit, |b, circ| {
             b.iter(|| DensityMatrix::from_circuit(circ));
         });

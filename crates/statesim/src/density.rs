@@ -1,6 +1,50 @@
-//! Dense density-matrix simulation with in-place block transforms.
+//! Dense density-matrix simulation with fused, structure-aware block
+//! kernels.
+//!
+//! # Blocks and walkers
+//!
+//! Every operation the simulator applies acts on one or two qubits, so it
+//! maps independent blocks of ρ to themselves: a single-qubit operation on
+//! `q` acts on each 2×2 block `{r, r|2^q} × {c, c|2^q}` (bit `q` clear in
+//! `r` and `c`), a two-qubit operation on `(a, b)` on each 4×4 block over
+//! the pair. Two walkers visit those blocks: they enumerate the block bases
+//! by inserting zero bits at the qubit positions and walk ρ row by row,
+//! the rows of a block together (a row pair, or a group of four rows).
+//! Every step of a pipeline runs over the blocks of those rows before the
+//! walk moves on, so a pipeline loads each row once. Each public per-op
+//! method is a one-step walk, and [`crate::noise::run_noisy`] chains a gate
+//! with its gate-attached channels so a noisy gate walks ρ once. Only
+//! [`DensityMatrix::apply_pauli_mixture`] builds a scratch copy of the
+//! matrix (its Paulis act on every qubit at once).
+//!
+//! # Structure classes
+//!
+//! Three shapes are detected once per gate or channel from their exact-zero
+//! entries, and skip the products with exact-zero factors:
+//!
+//! * a diagonal unitary (`Rz`, `S`, `T`, `Z`);
+//! * a unitary with real diagonal and imaginary off-diagonal (`Rx`, `Y`);
+//! * the thermal-relaxation superoperator (real, with `ρ₀₀′ = aρ₀₀ + γρ₁₁`
+//!   and `ρ₀₁`, `ρ₁₀`, `ρ₁₁` each scaled by one factor; amplitude and
+//!   phase damping share it).
+//!
+//! Every other gate or channel takes the general path.
+//!
+//! # Bit identity
+//!
+//! The general paths evaluate each output entry with the same f64
+//! products and sums, in the same order, as the per-entry reference
+//! formulas (`U·B` by rows, then `·U†` by columns; `Σ_lm S[ij][lm]·B_lm`
+//! left to right; the closed-form depolarizing updates). A skipped product
+//! has an exact-zero factor, so its value is ±0, and `x + ±0 = x` for every
+//! `x ≠ 0`; Rust never contracts to FMA. Every intermediate of a fast path
+//! therefore has the same real value as on the general path, and every
+//! output that is not zero has the same bits. Only the sign of a zero
+//! output can depend on the skipped terms, so a block that may hold a zero
+//! before or after the fast path is computed on the general path instead
+//! (an all-`+0` block maps to one precomputed image).
 
-use crate::channels::KrausChannel;
+use crate::channels::{apply_superoperator, KrausChannel};
 use crate::statevector::StateVector;
 use eftq_circuit::{Circuit, Gate};
 use eftq_numerics::{Complex, Mat2};
@@ -9,9 +53,9 @@ use eftq_pauli::{PauliString, PauliSum};
 /// A density matrix over `n ≤ 13` qubits, stored row-major
 /// (`rho[r * dim + c]`). Basis index bit `q` is qubit `q`.
 ///
-/// Single-qubit unitaries and channels act via in-place 2×2 block
-/// transforms; CX/CZ/SWAP act via index permutations — no scratch copy of
-/// the `4ⁿ`-entry matrix is ever made.
+/// Gates and channels act in place on 2×2 or 4×4 blocks (see the module
+/// docs); CX/CZ/SWAP are permutations and sign flips inside the 4×4
+/// blocks.
 ///
 /// # Examples
 ///
@@ -33,6 +77,403 @@ pub struct DensityMatrix {
     n: usize,
     dim: usize,
     rho: Vec<Complex>,
+}
+
+/// A 2×2 block `[ρ_rc, ρ_rc₁, ρ_r₁c, ρ_r₁c₁]`.
+type Block = [Complex; 4];
+
+/// The real value of `x · (k + 0i)`: the product with the zero imaginary
+/// part is ±0 and drops out of every sum.
+#[inline(always)]
+fn times_re(x: Complex, k: f64) -> Complex {
+    Complex::new(x.re * k, x.im * k)
+}
+
+/// The real value of `x · (0 + ki)`.
+#[inline(always)]
+fn times_im(x: Complex, k: f64) -> Complex {
+    Complex::new(-(x.im * k), x.re * k)
+}
+
+fn is_zero(z: Complex) -> bool {
+    z.re == 0.0 && z.im == 0.0
+}
+
+/// Whether the block may hold a ±0 component. A zero component makes the
+/// product of all eight components 0, or NaN when another factor
+/// overflowed; an underflow to 0 only sends a block to the general path,
+/// which is always exact.
+#[inline(always)]
+fn may_have_zero(b: &Block) -> bool {
+    let pair = |z: Complex, w: Complex| Complex::new(z.re * w.re, z.im * w.im);
+    let p = pair(pair(b[0], b[1]), pair(b[2], b[3]));
+    let product = p.re * p.im;
+    product == 0.0 || product.is_nan()
+}
+
+/// `i` with a zero bit inserted at the position of the single-bit `mask`.
+#[inline(always)]
+fn insert_zero_bit(i: usize, mask: usize) -> usize {
+    ((i & !(mask - 1)) << 1) | (i & (mask - 1))
+}
+
+/// Runs `f` on every 2×2 block of the row pair `(row0, row1)` whose column
+/// pair differs in the bit `m`.
+#[inline(always)]
+fn for_blocks(row0: &mut [Complex], row1: &mut [Complex], m: usize, f: impl Fn(Block) -> Block) {
+    for (c0, c1) in row0
+        .chunks_exact_mut(2 * m)
+        .zip(row1.chunks_exact_mut(2 * m))
+    {
+        let (x00, x01) = c0.split_at_mut(m);
+        let (x10, x11) = c1.split_at_mut(m);
+        for (((e00, e01), e10), e11) in x00.iter_mut().zip(x01).zip(x10).zip(x11) {
+            [*e00, *e01, *e10, *e11] = f([*e00, *e01, *e10, *e11]);
+        }
+    }
+}
+
+/// [`for_blocks`] with a fast path. A block that may hold a zero (common
+/// in a sparse or real-valued ρ) goes to `general`, and so does a block
+/// whose fast result may hold one: only a zero's sign can tell the two
+/// paths apart (see the module docs). An all-`+0` block, the untouched
+/// part of a sparse ρ, maps to `zero_image`, its general-path image.
+#[inline(always)]
+fn for_blocks_fast(
+    row0: &mut [Complex],
+    row1: &mut [Complex],
+    m: usize,
+    zero_image: Block,
+    fast: impl Fn(Block) -> Block,
+    general: impl Fn(Block) -> Block,
+) {
+    let all_positive_zero = |b: &Block| b.iter().all(|z| z.re.to_bits() | z.im.to_bits() == 0);
+    for_blocks(row0, row1, m, |b| {
+        if may_have_zero(&b) {
+            return if all_positive_zero(&b) {
+                zero_image
+            } else {
+                declined(&general, b)
+            };
+        }
+        let out = fast(b);
+        if may_have_zero(&out) {
+            declined(&general, b)
+        } else {
+            out
+        }
+    });
+}
+
+/// The general path for a declined block, out of line so the fast loop
+/// stays small.
+#[cold]
+#[inline(never)]
+fn declined(general: &impl Fn(Block) -> Block, b: Block) -> Block {
+    general(b)
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum UnitaryShape {
+    /// Both off-diagonal entries are exactly zero.
+    Diagonal,
+    /// Diagonal entries real, off-diagonal entries imaginary.
+    RealDiagonalImaginaryOff,
+    General,
+}
+
+/// A single-qubit unitary prepared for block application: `U`, `U†` and
+/// its structure class.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BlockUnitary {
+    u: Mat2,
+    ud: Mat2,
+    shape: UnitaryShape,
+    /// The general-path image of the all-`+0` block.
+    zero_image: Block,
+}
+
+impl BlockUnitary {
+    pub(crate) fn new(u: &Mat2) -> Self {
+        let m = &u.m;
+        let shape = if is_zero(m[1]) && is_zero(m[2]) {
+            UnitaryShape::Diagonal
+        } else if m[0].im == 0.0 && m[3].im == 0.0 && m[1].re == 0.0 && m[2].re == 0.0 {
+            UnitaryShape::RealDiagonalImaginaryOff
+        } else {
+            UnitaryShape::General
+        };
+        let mut unitary = BlockUnitary {
+            u: *u,
+            ud: u.adjoint(),
+            shape,
+            zero_image: [Complex::ZERO; 4],
+        };
+        unitary.zero_image = unitary.general([Complex::ZERO; 4]);
+        unitary
+    }
+
+    fn apply_rows(&self, row0: &mut [Complex], row1: &mut [Complex], m: usize) {
+        match self.shape {
+            UnitaryShape::Diagonal => for_blocks_fast(
+                row0,
+                row1,
+                m,
+                self.zero_image,
+                |b| self.diagonal(b),
+                |b| self.general(b),
+            ),
+            UnitaryShape::RealDiagonalImaginaryOff => for_blocks_fast(
+                row0,
+                row1,
+                m,
+                self.zero_image,
+                |b| self.real_diagonal(b),
+                |b| self.general(b),
+            ),
+            UnitaryShape::General => for_blocks(row0, row1, m, |b| self.general(b)),
+        }
+    }
+
+    /// `B → U B U†`: the row transform `T = U·B`, then `T·U†`.
+    #[inline(always)]
+    fn general(&self, b: Block) -> Block {
+        let (u, ud) = (&self.u.m, &self.ud.m);
+        let (t00, t10) = (u[0] * b[0] + u[1] * b[2], u[2] * b[0] + u[3] * b[2]);
+        let (t01, t11) = (u[0] * b[1] + u[1] * b[3], u[2] * b[1] + u[3] * b[3]);
+        [
+            t00 * ud[0] + t01 * ud[2],
+            t00 * ud[1] + t01 * ud[3],
+            t10 * ud[0] + t11 * ud[2],
+            t10 * ud[1] + t11 * ud[3],
+        ]
+    }
+
+    /// The diagonal fast path: `U B U†` without the off-diagonal products.
+    #[inline(always)]
+    fn diagonal(&self, b: Block) -> Block {
+        let (u, ud) = (&self.u.m, &self.ud.m);
+        let t = [u[0] * b[0], u[0] * b[1], u[3] * b[2], u[3] * b[3]];
+        [t[0] * ud[0], t[1] * ud[3], t[2] * ud[0], t[3] * ud[3]]
+    }
+
+    /// The real-diagonal/imaginary-off-diagonal fast path: `U B U†`
+    /// without the products with the zero real and imaginary parts.
+    #[inline(always)]
+    fn real_diagonal(&self, b: Block) -> Block {
+        let (u, ud) = (&self.u.m, &self.ud.m);
+        let t = [
+            times_re(b[0], u[0].re) + times_im(b[2], u[1].im),
+            times_re(b[1], u[0].re) + times_im(b[3], u[1].im),
+            times_im(b[0], u[2].im) + times_re(b[2], u[3].re),
+            times_im(b[1], u[2].im) + times_re(b[3], u[3].re),
+        ];
+        [
+            times_re(t[0], ud[0].re) + times_im(t[1], ud[2].im),
+            times_im(t[0], ud[1].im) + times_re(t[1], ud[3].re),
+            times_re(t[2], ud[0].re) + times_im(t[3], ud[2].im),
+            times_im(t[2], ud[1].im) + times_re(t[3], ud[3].re),
+        ]
+    }
+}
+
+/// A single-qubit channel as its 4×4 superoperator, computed once, plus
+/// whether it has the thermal-relaxation shape.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BlockChannel {
+    s: [Complex; 16],
+    relaxation: bool,
+    /// The general-path image of the all-`+0` block.
+    zero_image: Block,
+}
+
+impl BlockChannel {
+    pub(crate) fn new(channel: &KrausChannel) -> Self {
+        let s = channel.superoperator();
+        // Nonzero only at out00←{b00, b11}, out01←b01, out10←b10,
+        // out11←b11, and real everywhere.
+        const RELAXATION_SUPPORT: [usize; 5] = [0, 3, 5, 10, 15];
+        let relaxation = s
+            .iter()
+            .enumerate()
+            .all(|(i, z)| z.im == 0.0 && (z.re == 0.0 || RELAXATION_SUPPORT.contains(&i)));
+        let zero_image = apply_superoperator(&s, &Mat2::zero()).m;
+        BlockChannel {
+            s,
+            relaxation,
+            zero_image,
+        }
+    }
+
+    fn apply_rows(&self, row0: &mut [Complex], row1: &mut [Complex], m: usize) {
+        if self.relaxation {
+            for_blocks_fast(
+                row0,
+                row1,
+                m,
+                self.zero_image,
+                |b| self.relaxation(b),
+                |b| self.general(b),
+            );
+        } else {
+            for_blocks(row0, row1, m, |b| self.general(b));
+        }
+    }
+
+    /// `out_ij = Σ_lm S[ij][lm]·B_lm`.
+    #[inline(always)]
+    fn general(&self, b: Block) -> Block {
+        apply_superoperator(&self.s, &Mat2::new(b)).m
+    }
+
+    /// The thermal-relaxation fast path: five real scalings and one sum.
+    #[inline(always)]
+    fn relaxation(&self, b: Block) -> Block {
+        let s = &self.s;
+        [
+            times_re(b[0], s[0].re) + times_re(b[3], s[3].re),
+            times_re(b[1], s[5].re),
+            times_re(b[2], s[10].re),
+            times_re(b[3], s[15].re),
+        ]
+    }
+}
+
+/// One step of a single-qubit block pipeline.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum BlockOp {
+    /// `B → U B U†`.
+    Unitary(BlockUnitary),
+    /// Depolarizing in closed form:
+    /// `B → keep·B + mix·tr(B)·I` with `keep = 1 − 4p/3`, `mix = 2p/3`.
+    Depolarizing { keep: f64, mix: f64 },
+    /// A Kraus channel via its superoperator.
+    Channel(BlockChannel),
+}
+
+impl BlockOp {
+    /// Single-qubit depolarizing of strength `p`.
+    pub(crate) fn depolarizing(p: f64) -> Self {
+        BlockOp::Depolarizing {
+            keep: 1.0 - 4.0 * p / 3.0,
+            mix: 2.0 * p / 3.0,
+        }
+    }
+
+    /// Applies the step to every block of a row pair.
+    fn apply_rows(&self, row0: &mut [Complex], row1: &mut [Complex], m: usize) {
+        match *self {
+            BlockOp::Unitary(ref u) => u.apply_rows(row0, row1, m),
+            BlockOp::Depolarizing { keep, mix } => for_blocks(row0, row1, m, |b| {
+                let t = (b[0] + b[3]) * mix;
+                [b[0] * keep + t, b[1] * keep, b[2] * keep, b[3] * keep + t]
+            }),
+            BlockOp::Channel(ref ch) => ch.apply_rows(row0, row1, m),
+        }
+    }
+}
+
+/// A two-qubit Clifford that permutes (and, for CZ, negates) the entries
+/// of each 4×4 block. For `Cx`, qubit `a` is the control.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PairGate {
+    Cx,
+    Cz,
+    Swap,
+}
+
+/// One step of a two-qubit block pipeline on the pair `(a, b)`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum PairOp<'a> {
+    /// A CX/CZ/SWAP on `(a, b)`.
+    Gate(PairGate),
+    /// Two-qubit depolarizing in closed form:
+    /// `ρ → keep·ρ + mix·(I/4 ⊗ Tr_ab ρ)` with `mix = 16p/15`.
+    Depolarizing { keep: f64, mix: f64 },
+    /// A single-qubit channel on `a` (`false`) or `b` (`true`).
+    Channel(bool, &'a BlockChannel),
+}
+
+impl PairOp<'_> {
+    /// Two-qubit depolarizing of strength `p`.
+    pub(crate) fn depolarizing(p: f64) -> Self {
+        let mix = 16.0 * p / 15.0;
+        PairOp::Depolarizing {
+            keep: 1.0 - mix,
+            mix,
+        }
+    }
+
+    /// Applies the step to every 4×4 block of the row group `rows`
+    /// (indexed by the local index `k = bit_a | bit_b << 1`); `off[l]` is
+    /// the column offset of local index `l`, and `bases` the column bases.
+    fn apply_rows(&self, rows: &mut [&mut [Complex]; 4], off: [usize; 4], bases: &[usize]) {
+        match *self {
+            PairOp::Gate(gate) => {
+                // new[k][l] = old[p(k)][p(l)]: swap two rows, then the same
+                // two columns of every block in each row. CZ negates the
+                // entries with exactly one of (k, l) equal to 3.
+                let (x, y) = match gate {
+                    PairGate::Cx => (1, 3),
+                    PairGate::Swap => (1, 2),
+                    PairGate::Cz => {
+                        for &c in bases {
+                            for (k, row) in rows.iter_mut().enumerate() {
+                                if k == 3 {
+                                    for &o in &off[..3] {
+                                        row[c + o] = -row[c + o];
+                                    }
+                                } else {
+                                    row[c + off[3]] = -row[c + off[3]];
+                                }
+                            }
+                        }
+                        return;
+                    }
+                };
+                let (lo, hi) = rows.split_at_mut(y);
+                lo[x].swap_with_slice(hi[0]);
+                for row in rows.iter_mut() {
+                    for &c in bases {
+                        row.swap(c + off[x], c + off[y]);
+                    }
+                }
+            }
+            PairOp::Depolarizing { keep, mix } => {
+                for &c in bases {
+                    // The partial-trace element: the mean of the four
+                    // pair-diagonal entries, summed in local-index order.
+                    let mut avg = Complex::ZERO;
+                    for (row, o) in rows.iter().zip(off) {
+                        avg += row[c + o];
+                    }
+                    avg *= 0.25;
+                    for (k, row) in rows.iter_mut().enumerate() {
+                        for (l, o) in off.iter().enumerate() {
+                            let e = &mut row[c + o];
+                            *e *= keep;
+                            if k == l {
+                                *e += avg * mix;
+                            }
+                        }
+                    }
+                }
+            }
+            PairOp::Channel(on_b, ch) => {
+                // The 2×2 blocks of one qubit of the pair, row pair by row
+                // pair: every column of the rows belongs to one of them.
+                let [r0, r1, r2, r3] = rows;
+                let m = if on_b { off[2] } else { off[1] };
+                let (first, second) = if on_b {
+                    ((r0, r2), (r1, r3))
+                } else {
+                    ((r0, r1), (r2, r3))
+                };
+                ch.apply_rows(first.0, first.1, m);
+                ch.apply_rows(second.0, second.1, m);
+            }
+        }
+    }
 }
 
 impl DensityMatrix {
@@ -107,133 +548,91 @@ impl DensityMatrix {
         (0..self.dim).map(|b| self.probability(b)).collect()
     }
 
+    /// Applies `ops`, in order, to every 2×2 block of qubit `q`, in one
+    /// walk over ρ: each row pair `(r, r | 2^q)` is loaded once and every
+    /// op runs over its blocks before the walk moves on.
+    pub(crate) fn apply_block_ops(&mut self, q: usize, ops: &[BlockOp]) {
+        assert!(q < self.n, "qubit {q} out of range");
+        if ops.is_empty() {
+            return;
+        }
+        let (dim, m) = (self.dim, 1usize << q);
+        for i in 0..dim / 2 {
+            let r = insert_zero_bit(i, m);
+            let (top, bottom) = self.rho.split_at_mut((r + m) * dim);
+            let row0 = &mut top[r * dim..(r + 1) * dim];
+            let row1 = &mut bottom[..dim];
+            for op in ops {
+                op.apply_rows(row0, row1, m);
+            }
+        }
+    }
+
+    /// Applies `ops`, in order, to every 4×4 block of the pair `(a, b)`, in
+    /// one walk over ρ: each group of four rows is loaded once and every op
+    /// runs over its blocks before the walk moves on.
+    pub(crate) fn apply_pair_ops(&mut self, a: usize, b: usize, ops: &[PairOp]) {
+        assert!(
+            a < self.n && b < self.n && a != b,
+            "bad qubit pair ({a}, {b})"
+        );
+        let dim = self.dim;
+        let (ma, mb) = (1usize << a, 1usize << b);
+        let (lo, hi) = (ma.min(mb), ma.max(mb));
+        let base = |i: usize| insert_zero_bit(insert_zero_bit(i, lo), hi);
+        let off = [0, ma, mb, ma | mb];
+        let bases: Vec<usize> = (0..dim / 4).map(base).collect();
+        for &r in &bases {
+            // The four rows in increasing order, then in local order.
+            let (head, rest) = self.rho.split_at_mut((r + lo) * dim);
+            let (mid, rest) = rest.split_at_mut((hi - lo) * dim);
+            let (upper, top) = rest.split_at_mut(lo * dim);
+            let sorted = [
+                &mut head[r * dim..][..dim],
+                &mut mid[..dim],
+                &mut upper[..dim],
+                &mut top[..dim],
+            ];
+            let [s0, s1, s2, s3] = sorted;
+            let mut rows = if ma == lo {
+                [s0, s1, s2, s3]
+            } else {
+                [s0, s2, s1, s3]
+            };
+            for op in ops {
+                op.apply_rows(&mut rows, off, &bases);
+            }
+        }
+    }
+
     /// Applies a single-qubit unitary `ρ → UρU†` on qubit `q`, in place.
     pub fn apply_mat2(&mut self, q: usize, u: &Mat2) {
-        assert!(q < self.n, "qubit {q} out of range");
-        let mask = 1usize << q;
-        let ud = u.adjoint();
-        // Row transform: for every column c and row pair (r, r|mask).
-        for c in 0..self.dim {
-            for r in 0..self.dim {
-                if r & mask != 0 {
-                    continue;
-                }
-                let r1 = r | mask;
-                let a = self.rho[r * self.dim + c];
-                let b = self.rho[r1 * self.dim + c];
-                let (na, nb) = u.apply(a, b);
-                self.rho[r * self.dim + c] = na;
-                self.rho[r1 * self.dim + c] = nb;
-            }
-        }
-        // Column transform with U†ᵀ = conj(U): ρ ← ρ U†.
-        for r in 0..self.dim {
-            let row = r * self.dim;
-            for c in 0..self.dim {
-                if c & mask != 0 {
-                    continue;
-                }
-                let c1 = c | mask;
-                let a = self.rho[row + c];
-                let b = self.rho[row + c1];
-                // (ρU†)_{r,c} = a·U†_{c,c} + b·U†_{c1,c}
-                let na = a * ud.m[0] + b * ud.m[2];
-                let nb = a * ud.m[1] + b * ud.m[3];
-                self.rho[row + c] = na;
-                self.rho[row + c1] = nb;
-            }
-        }
+        self.apply_block_ops(q, &[BlockOp::Unitary(BlockUnitary::new(u))]);
     }
 
     /// Applies a CNOT (a basis permutation, self-inverse).
     pub fn apply_cx(&mut self, control: usize, target: usize) {
-        assert!(control < self.n && target < self.n && control != target);
-        let cm = 1usize << control;
-        let tm = 1usize << target;
-        let perm = |b: usize| if b & cm != 0 { b ^ tm } else { b };
-        self.apply_involution_permutation(perm);
+        self.apply_pair_ops(control, target, &[PairOp::Gate(PairGate::Cx)]);
     }
 
     /// Applies a SWAP.
     pub fn apply_swap(&mut self, a: usize, b: usize) {
-        assert!(a < self.n && b < self.n && a != b);
-        let am = 1usize << a;
-        let bm = 1usize << b;
-        let perm = move |idx: usize| {
-            let ba = (idx & am != 0) as usize;
-            let bb = (idx & bm != 0) as usize;
-            if ba == bb {
-                idx
-            } else {
-                idx ^ am ^ bm
-            }
-        };
-        self.apply_involution_permutation(perm);
+        self.apply_pair_ops(a, b, &[PairOp::Gate(PairGate::Swap)]);
     }
 
     /// Applies a CZ (diagonal ±1).
     pub fn apply_cz(&mut self, a: usize, b: usize) {
-        assert!(a < self.n && b < self.n && a != b);
-        let am = 1usize << a;
-        let bm = 1usize << b;
-        let sign = |idx: usize| idx & am != 0 && idx & bm != 0;
-        for r in 0..self.dim {
-            for c in 0..self.dim {
-                if sign(r) != sign(c) {
-                    let e = &mut self.rho[r * self.dim + c];
-                    *e = -*e;
-                }
-            }
-        }
-    }
-
-    fn apply_involution_permutation<F: Fn(usize) -> usize>(&mut self, perm: F) {
-        for r in 0..self.dim {
-            let pr = perm(r);
-            for c in 0..self.dim {
-                let pc = perm(c);
-                // Swap (r,c) ↔ (pr,pc) exactly once.
-                if (pr, pc) > (r, c) {
-                    self.rho.swap(r * self.dim + c, pr * self.dim + pc);
-                }
-            }
-        }
+        self.apply_pair_ops(a, b, &[PairOp::Gate(PairGate::Cz)]);
     }
 
     /// Applies a single-qubit Kraus channel on qubit `q`, in place, via 2×2
     /// block transforms over the (row-bit, column-bit) planes.
     ///
-    /// The channel is folded into its 4×4 superoperator *once* (a scratch
-    /// array on the stack) and every block pays 16 complex multiplies,
-    /// instead of re-walking the Kraus operators — two matrix products
-    /// each — per block as the generic loop did.
+    /// The channel is folded into its 4×4 superoperator once per call, and
+    /// every block pays at most 16 complex multiplies (thermal relaxation,
+    /// amplitude and phase damping pay ten real ones).
     pub fn apply_channel(&mut self, q: usize, channel: &KrausChannel) {
-        assert!(q < self.n, "qubit {q} out of range");
-        let s = channel.superoperator();
-        let mask = 1usize << q;
-        for r in 0..self.dim {
-            if r & mask != 0 {
-                continue;
-            }
-            let r1 = r | mask;
-            for c in 0..self.dim {
-                if c & mask != 0 {
-                    continue;
-                }
-                let c1 = c | mask;
-                let block = Mat2::new([
-                    self.rho[r * self.dim + c],
-                    self.rho[r * self.dim + c1],
-                    self.rho[r1 * self.dim + c],
-                    self.rho[r1 * self.dim + c1],
-                ]);
-                let out = crate::channels::apply_superoperator(&s, &block);
-                self.rho[r * self.dim + c] = out.m[0];
-                self.rho[r * self.dim + c1] = out.m[1];
-                self.rho[r1 * self.dim + c] = out.m[2];
-                self.rho[r1 * self.dim + c1] = out.m[3];
-            }
-        }
+        self.apply_block_ops(q, &[BlockOp::Channel(BlockChannel::new(channel))]);
     }
 
     /// Single-qubit depolarizing channel of strength `p` on `q`, in
@@ -249,35 +648,15 @@ impl DensityMatrix {
     pub fn apply_depolarizing_1q(&mut self, q: usize, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         assert!(q < self.n, "qubit {q} out of range");
-        if p == 0.0 {
-            return;
-        }
-        let keep = 1.0 - 4.0 * p / 3.0;
-        let mix = 2.0 * p / 3.0;
-        let mask = 1usize << q;
-        for r in 0..self.dim {
-            if r & mask != 0 {
-                continue;
-            }
-            let r1 = r | mask;
-            for c in 0..self.dim {
-                if c & mask != 0 {
-                    continue;
-                }
-                let c1 = c | mask;
-                let (d0, d1) = (r * self.dim + c, r1 * self.dim + c1);
-                let t = (self.rho[d0] + self.rho[d1]) * mix;
-                self.rho[d0] = self.rho[d0] * keep + t;
-                self.rho[d1] = self.rho[d1] * keep + t;
-                self.rho[r * self.dim + c1] *= keep;
-                self.rho[r1 * self.dim + c] *= keep;
-            }
+        if p > 0.0 {
+            self.apply_block_ops(q, &[BlockOp::depolarizing(p)]);
         }
     }
 
     /// Applies a probabilistic Pauli mixture `ρ → Σ_i p_i P_i ρ P_i†`
     /// (e.g. two-qubit depolarizing noise). Probabilities must sum to ≤ 1;
-    /// the remainder is the identity component.
+    /// the remainder is the identity component. Builds one scratch copy of
+    /// the matrix.
     ///
     /// # Panics
     ///
@@ -332,41 +711,8 @@ impl DensityMatrix {
             a < self.n && b < self.n && a != b,
             "bad qubit pair ({a}, {b})"
         );
-        if p == 0.0 {
-            return;
-        }
-        let mix = 16.0 * p / 15.0;
-        let keep = 1.0 - mix;
-        let ma = 1usize << a;
-        let mb = 1usize << b;
-        let pair = [0usize, ma, mb, ma | mb];
-        let dim = self.dim;
-        // Iterate over (row, column) bases with the a/b bits cleared.
-        for r_base in 0..dim {
-            if r_base & (ma | mb) != 0 {
-                continue;
-            }
-            for c_base in 0..dim {
-                if c_base & (ma | mb) != 0 {
-                    continue;
-                }
-                // Average of the four ab-diagonal entries (the partial
-                // trace element for this (r_rest, c_rest)).
-                let mut avg = Complex::ZERO;
-                for &x in &pair {
-                    avg += self.rho[(r_base | x) * dim + (c_base | x)];
-                }
-                avg *= 0.25;
-                for &ra in &pair {
-                    for &ca in &pair {
-                        let e = &mut self.rho[(r_base | ra) * dim + (c_base | ca)];
-                        *e *= keep;
-                        if ra == ca {
-                            *e += avg * mix;
-                        }
-                    }
-                }
-            }
+        if p > 0.0 {
+            self.apply_pair_ops(a, b, &[PairOp::depolarizing(p)]);
         }
     }
 
@@ -382,13 +728,7 @@ impl DensityMatrix {
             Gate::Cz(a, b) => self.apply_cz(a, b),
             Gate::Swap(a, b) => self.apply_swap(a, b),
             Gate::Measure(_) => {}
-            ref g => {
-                let q = g.qubits()[0];
-                let u = g
-                    .matrix_1q()
-                    .unwrap_or_else(|| panic!("cannot simulate symbolic gate {g}"));
-                self.apply_mat2(q, &u);
-            }
+            ref g => self.apply_mat2(g.qubits_inline().0[0], &bound_matrix(g)),
         }
     }
 
@@ -441,6 +781,16 @@ impl DensityMatrix {
         }
         acc.re
     }
+}
+
+/// The matrix of a bound single-qubit gate.
+///
+/// # Panics
+///
+/// Panics on symbolic parameters.
+pub(crate) fn bound_matrix(g: &Gate) -> Mat2 {
+    g.matrix_1q()
+        .unwrap_or_else(|| panic!("cannot simulate symbolic gate {g}"))
 }
 
 #[cfg(test)]
@@ -588,6 +938,88 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn structure_classes_are_detected_from_exact_zeros() {
+        let shape = |u: Mat2| BlockUnitary::new(&u).shape;
+        for u in [
+            Mat2::rz(0.3),
+            Mat2::s_gate(),
+            Mat2::t_gate(),
+            Mat2::pauli_z(),
+        ] {
+            assert_eq!(shape(u), UnitaryShape::Diagonal);
+        }
+        for u in [Mat2::rx(0.3), Mat2::rx(-2.0), Mat2::pauli_y()] {
+            assert_eq!(shape(u), UnitaryShape::RealDiagonalImaginaryOff);
+        }
+        for u in [Mat2::ry(0.3), Mat2::hadamard(), Mat2::pauli_x()] {
+            assert_eq!(shape(u), UnitaryShape::General);
+        }
+        let relaxation = |ch: KrausChannel| BlockChannel::new(&ch).relaxation;
+        assert!(relaxation(KrausChannel::thermal_relaxation(
+            35.0, 100.0, 80.0
+        )));
+        assert!(relaxation(KrausChannel::amplitude_damping(0.2)));
+        assert!(relaxation(KrausChannel::phase_damping(0.2)));
+        assert!(!relaxation(KrausChannel::bit_flip(0.2)));
+        assert!(!relaxation(KrausChannel::depolarizing(0.2)));
+    }
+
+    #[test]
+    fn fast_paths_match_the_general_paths_bit_for_bit_on_hostile_blocks() {
+        // Signed zeros, exact cancellations and underflowing products: the
+        // inputs on which a skipped ±0 product could show.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let component = |rng: &mut StdRng| match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1e-300 * rng.gen_range(-1.0..1.0),
+            3 => 0.5,
+            4 => -0.5,
+            _ => rng.gen_range(-1.0..1.0),
+        };
+        let unitaries = [
+            Mat2::rz(0.7),
+            Mat2::rz(-2.9),
+            Mat2::s_gate(),
+            Mat2::t_gate().adjoint(),
+            Mat2::rx(0.7),
+            Mat2::rx(-2.9),
+            Mat2::rx(std::f64::consts::PI),
+            Mat2::pauli_y(),
+        ];
+        let channels = [
+            KrausChannel::thermal_relaxation(35.0, 100.0, 80.0),
+            KrausChannel::thermal_relaxation(0.0, 100.0, 80.0),
+            KrausChannel::amplitude_damping(0.5),
+            KrausChannel::phase_damping(1.0),
+        ];
+        for _ in 0..20_000 {
+            let block: Block =
+                std::array::from_fn(|_| Complex::new(component(&mut rng), component(&mut rng)));
+            let mut rho = DensityMatrix::zero_state(1);
+            rho.rho.copy_from_slice(&block);
+            let bits = |b: &[Complex]| {
+                b.iter()
+                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            for u in &unitaries {
+                let mut fast = rho.clone();
+                fast.apply_mat2(0, u);
+                let want = BlockUnitary::new(u).general(block);
+                assert_eq!(bits(&fast.rho), bits(&want), "{u:?} on {block:?}");
+            }
+            for ch in &channels {
+                let mut fast = rho.clone();
+                fast.apply_channel(0, ch);
+                let want = BlockChannel::new(ch).general(block);
+                assert_eq!(bits(&fast.rho), bits(&want), "{ch:?} on {block:?}");
             }
         }
     }

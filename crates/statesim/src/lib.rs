@@ -10,7 +10,7 @@
 //! * [`StateVector`] — exact pure-state simulation (noiseless reference and
 //!   expressibility studies).
 //! * [`DensityMatrix`] — exact open-system simulation via in-place 2×2 /
-//!   4×4 block transforms (no scratch copies of the 4ⁿ-entry matrix).
+//!   4×4 block transforms, with a gate and its noise fused into one walk.
 //! * [`channels`] — Kraus families: depolarizing, thermal relaxation
 //!   (amplitude + phase damping), bit-flip, and Pauli mixtures.
 //! * [`noise`] — a gate-triggered [`noise::NoiseModel`] plus the layered

@@ -7,7 +7,9 @@
 //! sets are constructed by the `eft-vqa` core crate.
 
 use crate::channels::KrausChannel;
-use crate::density::DensityMatrix;
+use crate::density::{
+    bound_matrix, BlockChannel, BlockOp, BlockUnitary, DensityMatrix, PairGate, PairOp,
+};
 use crate::readout::ReadoutModel;
 use eftq_circuit::{Circuit, Gate};
 
@@ -111,55 +113,50 @@ pub struct NoisyRunReport {
     pub idle_slots: usize,
 }
 
-/// Channels that depend only on the (fixed) noise model, built once per
-/// run. The seed implementation constructed a fresh `KrausChannel` —
-/// heap-allocating its Kraus operators and, for thermal relaxation,
-/// composing two channels — per *application*; with `4ⁿ⁻¹` blocks behind
-/// every application this dominated the density-matrix VQE tests.
+/// Channels that depend only on the (fixed) noise model, each folded
+/// into its superoperator once per run.
 struct RunChannels {
     /// Thermal relaxation over a single-qubit gate window, with the
     /// window duration (for the layer clock).
-    relax_1q: Option<(KrausChannel, f64)>,
+    relax_1q: Option<(BlockChannel, f64)>,
     /// Thermal relaxation over a two-qubit gate window, with duration.
-    relax_2q: Option<(KrausChannel, f64)>,
+    relax_2q: Option<(BlockChannel, f64)>,
     /// Thermal relaxation over a measurement window, with duration.
-    relax_meas: Option<(KrausChannel, f64)>,
+    relax_meas: Option<(BlockChannel, f64)>,
     /// Measurement bit-flip.
-    meas_flip: Option<KrausChannel>,
+    meas_flip: Option<BlockChannel>,
     /// Idle relaxation per distinct layer duration seen so far (layer
     /// durations are maxima over the three gate windows, so this stays
     /// tiny).
-    idle_relax: Vec<(f64, KrausChannel)>,
+    idle_relax: Vec<(f64, BlockChannel)>,
 }
 
 impl RunChannels {
     fn new(noise: &NoiseModel) -> Self {
-        let relax = |r: &Relaxation, t: f64| (KrausChannel::thermal_relaxation(t, r.t1, r.t2), t);
+        let relax = |r: &Relaxation, t: f64| {
+            let ch = KrausChannel::thermal_relaxation(t, r.t1, r.t2);
+            (BlockChannel::new(&ch), t)
+        };
         RunChannels {
             relax_1q: noise.relaxation.map(|r| relax(&r, r.t_1q)),
             relax_2q: noise.relaxation.map(|r| relax(&r, r.t_2q)),
             relax_meas: noise.relaxation.map(|r| relax(&r, r.t_meas)),
-            meas_flip: (noise.meas_flip > 0.0).then(|| KrausChannel::bit_flip(noise.meas_flip)),
+            meas_flip: (noise.meas_flip > 0.0)
+                .then(|| BlockChannel::new(&KrausChannel::bit_flip(noise.meas_flip))),
             idle_relax: Vec::new(),
         }
     }
 
     /// The relaxation channel for an idle window of `duration` (cached by
     /// exact duration).
-    fn idle_relaxation(&mut self, noise: &NoiseModel, duration: f64) -> &KrausChannel {
-        let idx = self
-            .idle_relax
-            .iter()
-            .position(|(t, _)| *t == duration)
-            .unwrap_or_else(|| {
-                let r = noise.relaxation.expect("idle relaxation without model");
-                self.idle_relax.push((
-                    duration,
-                    KrausChannel::thermal_relaxation(duration, r.t1, r.t2),
-                ));
-                self.idle_relax.len() - 1
-            });
-        &self.idle_relax[idx].1
+    fn idle_relaxation(&mut self, noise: &NoiseModel, duration: f64) -> BlockChannel {
+        if let Some((_, ch)) = self.idle_relax.iter().find(|(t, _)| *t == duration) {
+            return *ch;
+        }
+        let r = noise.relaxation.expect("idle relaxation without model");
+        let ch = BlockChannel::new(&KrausChannel::thermal_relaxation(duration, r.t1, r.t2));
+        self.idle_relax.push((duration, ch));
+        ch
     }
 }
 
@@ -170,6 +167,13 @@ impl RunChannels {
 /// gate-attached channels), idle qubits receive the idle channel: thermal
 /// relaxation over the layer's duration when `relaxation` is set, plus
 /// `idle_depol` depolarizing when non-zero.
+///
+/// Each gate and its gate-attached channels are applied in one walk over
+/// ρ, in this order: a single-qubit gate, then its depolarizing, then its
+/// relaxation; a two-qubit gate, then two-qubit depolarizing, then
+/// relaxation on its first and then its second qubit; a measurement's
+/// relaxation, then its bit flip; an idle qubit's relaxation, then
+/// `idle_depol`.
 ///
 /// # Panics
 ///
@@ -185,7 +189,8 @@ pub fn run_noisy(circuit: &Circuit, noise: &NoiseModel) -> (DensityMatrix, Noisy
         let mut busy = vec![false; n];
         let mut layer_duration: f64 = 0.0;
         for g in &layer {
-            for q in g.qubits() {
+            let (qs, arity) = g.qubits_inline();
+            for &q in &qs[..arity] {
                 busy[q] = true;
             }
             apply_gate_with_noise(&mut rho, g, noise, &chans, &mut report, &mut layer_duration);
@@ -195,20 +200,23 @@ pub fn run_noisy(circuit: &Circuit, noise: &NoiseModel) -> (DensityMatrix, Noisy
         if idle_needed {
             for (q, _) in busy.iter().enumerate().filter(|&(_, &b)| !b) {
                 report.idle_slots += 1;
+                let mut ops = Vec::with_capacity(2);
                 if noise.relaxation.is_some() && layer_duration > 0.0 {
-                    rho.apply_channel(q, chans.idle_relaxation(noise, layer_duration));
-                    report.channel_applications += 1;
+                    let ch = chans.idle_relaxation(noise, layer_duration);
+                    ops.push(BlockOp::Channel(ch));
                 }
                 if noise.idle_depol > 0.0 {
-                    rho.apply_depolarizing_1q(q, noise.idle_depol);
-                    report.channel_applications += 1;
+                    ops.push(BlockOp::depolarizing(noise.idle_depol));
                 }
+                rho.apply_block_ops(q, &ops);
+                report.channel_applications += ops.len();
             }
         }
     }
     (rho, report)
 }
 
+/// Applies one gate and its gate-attached channels in a single walk.
 fn apply_gate_with_noise(
     rho: &mut DensityMatrix,
     gate: &Gate,
@@ -217,36 +225,42 @@ fn apply_gate_with_noise(
     report: &mut NoisyRunReport,
     layer_duration: &mut f64,
 ) {
+    let q = gate.qubits_inline().0[0];
+    let mut ops = Vec::with_capacity(3);
     match *gate {
-        Gate::Measure(q) => {
+        Gate::Measure(_) => {
             if let Some((ch, t)) = &chans.relax_meas {
-                rho.apply_channel(q, ch);
-                report.channel_applications += 1;
+                ops.push(BlockOp::Channel(*ch));
                 *layer_duration = layer_duration.max(*t);
             }
             if let Some(ch) = &chans.meas_flip {
-                rho.apply_channel(q, ch);
-                report.channel_applications += 1;
+                ops.push(BlockOp::Channel(*ch));
             }
+            report.channel_applications += ops.len();
+            rho.apply_block_ops(q, &ops);
         }
         ref g if g.is_two_qubit() => {
-            rho.apply_gate(g);
-            let qs = g.qubits();
+            let (gate, a, b) = match *g {
+                Gate::Cx(c, t) => (PairGate::Cx, c, t),
+                Gate::Cz(a, b) => (PairGate::Cz, a, b),
+                Gate::Swap(a, b) => (PairGate::Swap, a, b),
+                _ => unreachable!("two-qubit gates are CX, CZ and SWAP"),
+            };
+            let mut pair_ops = Vec::with_capacity(4);
+            pair_ops.push(PairOp::Gate(gate));
             if noise.depol_2q > 0.0 {
-                rho.apply_depolarizing_2q(qs[0], qs[1], noise.depol_2q);
-                report.channel_applications += 1;
+                pair_ops.push(PairOp::depolarizing(noise.depol_2q));
             }
             if let Some((ch, t)) = &chans.relax_2q {
-                for &q in &qs {
-                    rho.apply_channel(q, ch);
-                    report.channel_applications += 1;
-                }
+                pair_ops.push(PairOp::Channel(false, ch));
+                pair_ops.push(PairOp::Channel(true, ch));
                 *layer_duration = layer_duration.max(*t);
             }
+            report.channel_applications += pair_ops.len() - 1;
+            rho.apply_pair_ops(a, b, &pair_ops);
         }
         ref g => {
-            rho.apply_gate(g);
-            let q = g.qubits()[0];
+            ops.push(BlockOp::Unitary(BlockUnitary::new(&bound_matrix(g))));
             let is_rz_like = matches!(g, Gate::Rz(..)) && !g.is_clifford(1e-9);
             let is_xy_rotation = matches!(g, Gate::Rx(..) | Gate::Ry(..)) && !g.is_clifford(1e-9);
             let p = if is_rz_like {
@@ -257,19 +271,18 @@ fn apply_gate_with_noise(
                 noise.depol_1q
             };
             if p > 0.0 {
-                // Closed-form fast path: no Kraus loop for depolarizing.
-                rho.apply_depolarizing_1q(q, p);
-                report.channel_applications += 1;
+                ops.push(BlockOp::depolarizing(p));
             }
             // Virtual-Z convention: an Rz in the NISQ regime is free and
             // instantaneous, so it contributes no relaxation window.
             if let Some((ch, t)) = &chans.relax_1q {
                 if !matches!(g, Gate::Rz(..)) {
-                    rho.apply_channel(q, ch);
-                    report.channel_applications += 1;
+                    ops.push(BlockOp::Channel(*ch));
                     *layer_duration = layer_duration.max(*t);
                 }
             }
+            report.channel_applications += ops.len() - 1;
+            rho.apply_block_ops(q, &ops);
         }
     }
 }
