@@ -5,9 +5,11 @@
 //! 1. **Accept.** A non-blocking acceptor stamps each connection with
 //!    its arrival instant and `try_send`s it to the parse stage over a
 //!    bounded channel. A full channel means the parse stage is
-//!    saturated: the acceptor writes an immediate 429 shed response and
-//!    closes — the one state this server never enters is "accepted but
-//!    silent".
+//!    saturated: the acceptor reads the request head under a 25 ms
+//!    bound, answers the inline routes below itself, and writes an
+//!    immediate 429 shed response (labelled with its route) for
+//!    anything else — the one state this server never enters is
+//!    "accepted but silent".
 //! 2. **Parse + route.** Parse threads read the request behind a socket
 //!    read timeout. `/healthz`, `/readyz`, `/surfaces` and `/metrics`
 //!    (Prometheus text format) are answered inline — observability
@@ -262,6 +264,44 @@ impl Engine {
             .inc();
         let ns = u64::try_from(arrival.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.request_seconds.observe_ns(ns);
+    }
+
+    /// Answers `/healthz`, `/readyz`, `/surfaces` and `/metrics` on the
+    /// calling thread and returns `true`; returns `false` for every
+    /// other route. These bypass admission entirely: observability must
+    /// answer while the evaluation stage is saturated.
+    fn answer_inline(&self, request: &Request, arrival: Instant, stream: &mut TcpStream) -> bool {
+        let route = route_label(&request.path);
+        if !matches!(route, "/healthz" | "/readyz" | "/surfaces" | "/metrics") {
+            return false;
+        }
+        self.stats.inline.fetch_add(1, Ordering::Relaxed);
+        if route == "/metrics" {
+            // Count the scrape before rendering, so the body a scraper
+            // receives already includes its own request.
+            self.observe(route, 200, arrival);
+            let body = self.metrics_body();
+            let _ = write_response_with_type(stream, 200, METRICS_CONTENT_TYPE, &body);
+            return true;
+        }
+        let (status, body) = match route {
+            "/healthz" => (200, jsonl(&self.health_row())),
+            "/readyz" if self.draining() => error_response(503, "draining", "server is draining"),
+            "/readyz" if self.index.is_empty() => {
+                error_response(503, "not_ready", "surface index is empty")
+            }
+            "/readyz" => (200, jsonl(&Row::new(HEALTH_LABEL).str("status", "ready"))),
+            _ => (
+                200,
+                self.index
+                    .names()
+                    .map(|n| jsonl(&Row::new("planner_surface").str("surface", n)))
+                    .collect(),
+            ),
+        };
+        self.observe(route, status, arrival);
+        let _ = write_response(stream, status, &body);
+        true
     }
 
     /// The `/metrics` body: mirrors the server's own atomic counters
@@ -596,19 +636,24 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
                         if let Err(mpsc::TrySendError::Full((mut stream, _))) =
                             conn_tx.try_send((stream, arrival))
                         {
-                            // Parse stage saturated: immediate shed.
-                            // Drain the (unread) request first — closing
-                            // a socket with unread bytes RSTs and the
-                            // peer would lose the 429 body.
-                            engine.stats.shed.fetch_add(1, Ordering::Relaxed);
-                            let _ = stream.set_nonblocking(false);
-                            let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-                            let mut sink = [0u8; 1024];
-                            use std::io::Read;
-                            let _ = stream.read(&mut sink);
-                            let (status, body) = error_response(429, "shed", "accept queue full");
-                            engine.observe("-", status, arrival);
-                            let _ = write_response(&mut stream, status, &body);
+                            // Parse stage saturated. Peek the request
+                            // head under a short bound (which also drains
+                            // it — closing a socket with unread bytes RSTs
+                            // and the peer would lose the response). The
+                            // O(1) inline routes are answered here; only
+                            // queries are shed.
+                            let request = peek_request(&mut stream, ACCEPT_PEEK_BOUND);
+                            if !request
+                                .as_ref()
+                                .is_some_and(|r| engine.answer_inline(r, arrival, &mut stream))
+                            {
+                                engine.stats.shed.fetch_add(1, Ordering::Relaxed);
+                                let route = request.as_ref().map_or("-", |r| route_label(&r.path));
+                                let (status, body) =
+                                    error_response(429, "shed", "accept queue full");
+                                engine.observe(route, status, arrival);
+                                let _ = write_response(&mut stream, status, &body);
+                            }
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -651,71 +696,31 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
                     continue;
                 }
             };
+            if engine.answer_inline(&request, arrival, &mut stream) {
+                continue;
+            }
             let route = route_label(&request.path);
-            match request.path.as_str() {
-                // Health and metrics endpoints bypass admission
-                // entirely: observability must answer while the
-                // evaluation stage is saturated.
-                "/healthz" => {
-                    engine.stats.inline.fetch_add(1, Ordering::Relaxed);
-                    engine.observe(route, 200, arrival);
-                    let _ = write_response(&mut stream, 200, &jsonl(&engine.health_row()));
+            let job = Job {
+                stream,
+                request,
+                arrival,
+            };
+            match work_tx.try_send(job) {
+                Ok(()) => {
+                    engine.stats.admitted.fetch_add(1, Ordering::Relaxed);
+                    engine.queue_depth.add(1);
                 }
-                "/readyz" => {
-                    engine.stats.inline.fetch_add(1, Ordering::Relaxed);
-                    let (status, body) = if engine.draining() {
-                        error_response(503, "draining", "server is draining")
-                    } else if engine.index.is_empty() {
-                        error_response(503, "not_ready", "surface index is empty")
-                    } else {
-                        (200, jsonl(&Row::new(HEALTH_LABEL).str("status", "ready")))
-                    };
+                Err(mpsc::TrySendError::Full(mut job)) => {
+                    engine.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    let (status, body) = error_response(429, "shed", "admission queue full");
                     engine.observe(route, status, arrival);
-                    let _ = write_response(&mut stream, status, &body);
+                    let _ = write_response(&mut job.stream, status, &body);
                 }
-                "/surfaces" => {
-                    engine.stats.inline.fetch_add(1, Ordering::Relaxed);
-                    engine.observe(route, 200, arrival);
-                    let body: String = engine
-                        .index
-                        .names()
-                        .map(|n| jsonl(&Row::new("planner_surface").str("surface", n)))
-                        .collect();
-                    let _ = write_response(&mut stream, 200, &body);
-                }
-                "/metrics" => {
-                    engine.stats.inline.fetch_add(1, Ordering::Relaxed);
-                    // Count the scrape before rendering, so the body a
-                    // scraper receives already includes its own request.
-                    engine.observe(route, 200, arrival);
-                    let body = engine.metrics_body();
-                    let _ = write_response_with_type(&mut stream, 200, METRICS_CONTENT_TYPE, &body);
-                }
-                _ => {
-                    let job = Job {
-                        stream,
-                        request,
-                        arrival,
-                    };
-                    match work_tx.try_send(job) {
-                        Ok(()) => {
-                            engine.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                            engine.queue_depth.add(1);
-                        }
-                        Err(mpsc::TrySendError::Full(mut job)) => {
-                            engine.stats.shed.fetch_add(1, Ordering::Relaxed);
-                            let (status, body) =
-                                error_response(429, "shed", "admission queue full");
-                            engine.observe(route, status, arrival);
-                            let _ = write_response(&mut job.stream, status, &body);
-                        }
-                        Err(mpsc::TrySendError::Disconnected(mut job)) => {
-                            let (status, body) =
-                                error_response(503, "draining", "evaluation stage stopped");
-                            engine.observe(route, status, arrival);
-                            let _ = write_response(&mut job.stream, status, &body);
-                        }
-                    }
+                Err(mpsc::TrySendError::Disconnected(mut job)) => {
+                    let (status, body) =
+                        error_response(503, "draining", "evaluation stage stopped");
+                    engine.observe(route, status, arrival);
+                    let _ = write_response(&mut job.stream, status, &body);
                 }
             }
         }));
@@ -764,6 +769,32 @@ pub fn serve(index: SurfaceIndex, cfg: ServerConfig) -> Result<ServerHandle, Str
         stats,
         threads,
     })
+}
+
+/// How long the acceptor may spend reading the head of a request it
+/// cannot hand to the saturated parse stage.
+const ACCEPT_PEEK_BOUND: Duration = Duration::from_millis(25);
+
+/// Reads a request head (up to 1 KiB) within `bound` in total and
+/// parses it; `None` if it is incomplete, malformed or too slow. A
+/// trickling client therefore holds the acceptor for `bound` at most.
+fn peek_request(stream: &mut TcpStream, bound: Duration) -> Option<Request> {
+    use std::io::Read;
+    let _ = stream.set_nonblocking(false);
+    let deadline = Instant::now() + bound;
+    let mut head = [0u8; 1024];
+    let mut len = 0;
+    while len < head.len() && !head[..len].windows(4).any(|w| w == b"\r\n\r\n") {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return None;
+        }
+        match stream.read(&mut head[len..]) {
+            Ok(0) | Err(_) => return None,
+            Ok(n) => len += n,
+        }
+    }
+    read_request(&mut &head[..len]).ok().flatten()
 }
 
 /// Serializes a row as one JSONL line.
@@ -840,6 +871,57 @@ mod tests {
         use std::io::Read;
         reader.read_to_string(&mut body).unwrap();
         (status, body)
+    }
+
+    /// Saturates the parse stage by construction: one silent client
+    /// holds the only parser in its read timeout and another fills the
+    /// one-slot accept channel, so the next silent client is shed. From
+    /// then on the acceptor itself must answer the inline routes, and
+    /// shed queries under their own route label.
+    #[test]
+    fn saturated_acceptor_answers_probes_and_sheds_queries_by_route() {
+        let cfg = ServerConfig {
+            deadline: Duration::from_secs(10),
+            queue: 1,
+            parsers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = serve(test_index(), cfg).unwrap();
+        let addr = handle.addr();
+
+        let mut silent = Vec::new();
+        let saturated = (0..16).any(|_| {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
+            let mut status_line = String::new();
+            let shed = BufReader::new(&stream).read_line(&mut status_line).is_ok()
+                && status_line.contains(" 429 ");
+            silent.push(stream);
+            shed
+        });
+        assert!(saturated, "no silent client was shed");
+
+        for probe in ["/healthz", "/readyz", "/surfaces", "/metrics"] {
+            let (status, body) = get(addr, probe);
+            assert_eq!(status, 200, "{probe} while saturated: {body}");
+        }
+        let (status, body) = get(addr, "/plan?logical_qubits=16&device_qubits=20000");
+        assert_eq!(status, 429, "{body}");
+        assert!(body.contains("accept queue full"), "{body}");
+        let (_, metrics) = get(addr, "/metrics");
+        assert!(
+            metrics.contains("planner_requests_total{route=\"/plan\",status=\"429\"} 1"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("planner_requests_total{route=\"/healthz\",status=\"200\"} 1"),
+            "{metrics}"
+        );
+
+        drop(silent);
+        handle.drain();
     }
 
     #[test]
