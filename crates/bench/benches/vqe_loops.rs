@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use eft_vqa::vqe::noisy_energy;
 use eft_vqa::ExecutionRegime;
 use eftq_circuit::ansatz::fully_connected_hea;
-use eftq_stabilizer::{GroupedObservable, NoiseProgram, NoiseTemplate, Tableau};
+use eftq_stabilizer::{GroupedObservable, HeisenbergRows, NoiseProgram, NoiseTemplate, Tableau};
 
 fn bench_energy_evaluations(c: &mut Criterion) {
     let mut group = c.benchmark_group("vqe_energy");
@@ -50,11 +50,16 @@ fn bench_fitness_compilation(c: &mut Criterion) {
 }
 
 /// The noiseless-expectation half of a Figure-12 fitness evaluation at
-/// the full 100-qubit scale: all 199 Ising terms via the compiled
-/// QWC-grouped kernel vs a naive per-term `Tableau::expectation` sweep.
-/// (On this Hamiltonian the grouped kernel's adaptive cutover takes the
-/// direct path — the bench records that the grouping never costs more
-/// than per-term.)
+/// the full 100-qubit scale.
+///
+/// * `grouped_ising_100q` / `per_term_ising_100q`: all 199 Ising terms on
+///   a prebuilt tableau, through `GroupedObservable::expectations` (one
+///   `Tableau::expectation` per term) and a naive per-term sweep.
+/// * `fche_e0_{ising,heisenberg}_100q`: the whole noiseless step the
+///   estimators take from a bound FCHE circuit — one reverse
+///   `HeisenbergRows` walk over precompiled term rows.
+///   `fche_forward_e0_heisenberg_100q` is the forward path it replaced
+///   (tableau run plus per-term expectations), kept as the record.
 fn bench_grouped_expectations(c: &mut Criterion) {
     let mut group = c.benchmark_group("grouped_e0");
     group.sample_size(20);
@@ -63,6 +68,29 @@ fn bench_grouped_expectations(c: &mut Criterion) {
     let ansatz = fully_connected_hea(n, 1);
     let ks: Vec<u8> = (0..ansatz.num_params()).map(|i| (i % 4) as u8).collect();
     let circuit = ansatz.bind_clifford(&ks);
+    let heisenberg = eft_vqa::hamiltonians::heisenberg_1d(n, 1.0);
+    for (name, obs) in [("ising", &h), ("heisenberg", &heisenberg)] {
+        let rows = HeisenbergRows::new(n, obs.terms().iter().map(|t| &t.string));
+        let mut e0 = vec![0.0; obs.num_terms()];
+        group.bench_function(format!("fche_e0_{name}_100q"), |b| {
+            b.iter(|| {
+                rows.expectations(&circuit, &mut e0);
+                black_box(&e0);
+            });
+        });
+    }
+    group.bench_function("fche_forward_e0_heisenberg_100q", |b| {
+        b.iter(|| {
+            let mut t = Tableau::new(n);
+            t.run(&circuit);
+            let e0: Vec<f64> = heisenberg
+                .terms()
+                .iter()
+                .map(|term| t.expectation(&term.string))
+                .collect();
+            black_box(e0)
+        });
+    });
     let mut t = Tableau::new(n);
     t.run(&circuit);
     let grouped = GroupedObservable::compile(&h);

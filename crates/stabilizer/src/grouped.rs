@@ -1,50 +1,32 @@
-//! Grouped-expectation kernels: evaluate every Pauli term of a
-//! qubit-wise-commuting (QWC) group in one tableau pass.
+//! A Hamiltonian compiled once for many candidate states: its Heisenberg
+//! term rows and its qubit-wise-commuting (QWC) measurement groups.
 //!
-//! [`Tableau::expectation`] costs `O(n·rwords)` word operations *per
-//! term* — for a 100-qubit Hamiltonian with hundreds of terms that walk
-//! dominates every energy evaluation inside the genetic search. Terms
-//! that commute qubit-wise share a measurement basis, so one basis
-//! rotation plus one computational-basis collapse determines all of them
-//! at once:
+//! [`GroupedObservable::compile`] does the state-independent work once
+//! per observable, so every fitness evaluation of a genetic search shares
+//! it (like the [`crate::NoiseTemplate`] compiled beside it):
 //!
-//! 1. **Compile** (once per Hamiltonian): partition the terms with
-//!    [`eftq_pauli::group_qubit_wise_commuting`] and record, per group,
-//!    which qubits rotate `X→Z` (H) or `Y→Z` (S† then H), the ascending
-//!    union support, and each member term's original index, sign, and
-//!    support.
-//! 2. **Evaluate** (once per candidate state): for each group, copy the
-//!    tableau, apply the basis rotation (exact — `H·X·H = Z` and
-//!    `(H·S†)·Y·(S·H) = Z` pick up no sign), check each member term for
-//!    determinism *before* collapsing (a rotated term is a Z-string; it
-//!    is deterministic iff its X-column XOR over the support has no
-//!    stabilizer-row bits), then measure the union support in ascending
-//!    order. Because every rotated term commutes with every measured
-//!    `Z_q`, a deterministic term's value survives each collapse
-//!    unchanged, so its expectation is `sign · (−1)^parity` of the
-//!    recorded outcomes over its support — regardless of which branch
-//!    the indeterminate measurements take.
+//! 1. **Term rows.** The terms become the rows of a [`HeisenbergRows`]
+//!    plane, from which [`estimate_energy_program_grouped`] gets every
+//!    noiseless expectation in one reverse walk of the bound circuit
+//!    (see [`HeisenbergRows`] for the walk and its cost).
+//! 2. **Groups.** [`eftq_pauli::group_qubit_wise_commuting`] partitions
+//!    the terms; per group the compile records which qubits rotate `X→Z`
+//!    (H) or `Y→Z` (S† then H), the ascending union support, and each
+//!    member term's original index, sign, and support.
 //!
-//! The result is **bit-identical** to calling [`Tableau::expectation`]
-//! per term (each value is exactly ±1.0 or 0.0), which is what lets
-//! [`estimate_energy_program_grouped`] slot into the genetic-search hot
-//! path without perturbing any recorded baseline.
+//! The groups drive [`sample_energy_grouped`], the measurement-style
+//! estimator: outcome words are sampled once per group (Stim-style
+//! reference-frame randomization supplies the branch randomness for
+//! indeterminate measurements) and every member term is read off the
+//! shared shot words, turning `#terms × #shots` sampling work into
+//! `#groups × #shots`.
 //!
-//! The collapse only *pays* when a group holds more terms than union
-//! qubits: one collapse costs a `measure` per union qubit, and `measure`
-//! and `expectation` are both `O(n·rwords)` walks of comparable
-//! constant. Compilation therefore records a per-group cutover — dense
-//! groups collapse, sparse groups (union ≈ member count, e.g. the Z and
-//! X groups of a transverse-field Ising chain) evaluate their members
-//! directly with [`Tableau::expectation`]. Values are identical either
-//! way; only the operation count changes.
-//!
-//! The same compiled groups also drive [`sample_energy_grouped`], the
-//! measurement-style estimator: outcome words are sampled once per
-//! group (Stim-style reference-frame randomization supplies the
-//! branch randomness for indeterminate measurements) and every member
-//! term is read off the shared shot words, turning `#terms × #shots`
-//! sampling work into `#groups × #shots`.
+//! [`GroupedObservable::expectations`] evaluates the terms on a prebuilt
+//! [`Tableau`] directly, one [`Tableau::expectation`] per term. The
+//! groups do not help there: collapsing a group costs one `measure` per
+//! union qubit, each as dear as an `expectation`, so it could only pay
+//! when a group holds more terms than union qubits — which no group of a
+//! 1-D Ising or Heisenberg chain does.
 //!
 //! # Examples
 //!
@@ -73,17 +55,18 @@
 //! ```
 
 use crate::frame::lo_mask_tail;
-use crate::noise::NoisyCliffordRun;
+use crate::noise::{estimate_energy_rows, NoisyCliffordRun};
 use crate::program::NoiseProgram;
-use crate::tableau::{lo_mask, Tableau};
+use crate::tableau::{HeisenbergRows, Tableau};
 use eftq_circuit::Circuit;
 use eftq_numerics::{BernoulliWords, SeedSequence};
 use eftq_pauli::{group_qubit_wise_commuting, Pauli, PauliSum};
 
 /// An RNG that always returns zero, used to pick a *canonical branch*
-/// when collapsing indeterminate measurements. Deterministic terms are
-/// branch-invariant, so any fixed choice yields the same expectations;
-/// fixing it keeps the grouped kernel a pure function of the tableau.
+/// when [`sample_energy_grouped`] collapses a group for its reference
+/// outcomes. The frames' reference-frame randomization supplies the
+/// per-shot branch, so any fixed choice will do; fixing it keeps the
+/// sampler a pure function of its seed.
 struct ZeroRng;
 
 impl rand::RngCore for ZeroRng {
@@ -93,7 +76,7 @@ impl rand::RngCore for ZeroRng {
 }
 
 /// One term of a compiled group: where it lives in the original sum and
-/// how to read its value off the group's collapse outcomes.
+/// how to read its value off the group's outcome words.
 #[derive(Clone, Debug)]
 struct CompiledTerm {
     /// Index into the originating [`PauliSum::terms`].
@@ -102,12 +85,11 @@ struct CompiledTerm {
     sign: f64,
     /// Ascending support qubits.
     support: Vec<usize>,
-    /// The original string, for the direct per-term path of groups
-    /// where collapsing would not pay.
+    /// The original string, for the direct per-term path.
     string: eftq_pauli::PauliString,
 }
 
-/// One QWC group compiled to collapse form.
+/// One compiled QWC group.
 #[derive(Clone, Debug)]
 struct CompiledGroup {
     /// Qubits whose basis letter is X: rotate with H.
@@ -118,37 +100,31 @@ struct CompiledGroup {
     union: Vec<(usize, Pauli)>,
     /// Member terms.
     terms: Vec<CompiledTerm>,
-    /// Whether [`GroupedObservable::expectations`] collapses this group
-    /// or falls back to per-term [`Tableau::expectation`]. One collapse
-    /// costs a tableau copy, the basis rotation, and one `measure` per
-    /// union qubit — and `measure` ≈ `expectation` in word operations —
-    /// so collapsing only pays when the union support is strictly
-    /// smaller than the member count (dense groups, e.g. molecular
-    /// Hamiltonians; a transverse-field Ising chain's two groups have
-    /// union ≈ member count and take the direct path).
-    collapse: bool,
 }
 
-/// A Hamiltonian compiled into qubit-wise-commuting measurement groups,
-/// evaluated group-at-a-time instead of term-at-a-time.
+/// A Hamiltonian compiled into Heisenberg term rows and
+/// qubit-wise-commuting measurement groups.
 ///
-/// Compile once per observable (the partition and coefficient tables
-/// are state-independent) and reuse across every candidate state — the
-/// genetic search compiles alongside its [`crate::NoiseTemplate`] so
-/// all fitness evaluations share both caches. See the [module
-/// docs](self) for the algorithm and a worked example.
+/// Compile once per observable (the rows, the partition and the
+/// coefficient table are state-independent) and reuse across every
+/// candidate state — the genetic search compiles alongside its
+/// [`crate::NoiseTemplate`] so all fitness evaluations share both
+/// caches. See the [module docs](self) for the algorithm and a worked
+/// example.
 #[derive(Clone, Debug)]
 pub struct GroupedObservable {
     n: usize,
     num_terms: usize,
     groups: Vec<CompiledGroup>,
+    /// The terms' strings in original order, as Heisenberg rows.
+    rows: HeisenbergRows,
     /// Original-order term coefficients (for the energy accumulators).
     coefficients: Vec<f64>,
 }
 
 impl GroupedObservable {
-    /// Partitions `observable` into QWC groups and compiles the
-    /// rotation/collapse schedule for each.
+    /// Packs `observable`'s terms as Heisenberg rows, partitions them
+    /// into QWC groups and compiles each group's basis rotation.
     ///
     /// # Panics
     ///
@@ -187,17 +163,11 @@ impl GroupedObservable {
                         string: t.string.clone(),
                     })
                     .collect();
-                // The rotation cost (one or two gates per X/Y qubit) and
-                // the tableau copy ride along with the collapse; `+ 2`
-                // keeps the cutover on the profitable side of the
-                // measure ≈ expectation balance.
-                let collapse = union.len() + 2 < terms.len();
                 CompiledGroup {
                     rot_x,
                     rot_y,
                     union,
                     terms,
-                    collapse,
                 }
             })
             .collect();
@@ -205,6 +175,7 @@ impl GroupedObservable {
             n,
             num_terms: observable.num_terms(),
             groups,
+            rows: HeisenbergRows::new(n, observable.terms().iter().map(|t| &t.string)),
             coefficients: observable.terms().iter().map(|t| t.coefficient).collect(),
         }
     }
@@ -224,8 +195,8 @@ impl GroupedObservable {
         self.groups.len()
     }
 
-    /// Writes `⟨P_i⟩ ∈ {−1, 0, +1}` for every term into `out` (indexed
-    /// by original term order). Bit-identical to calling
+    /// Writes `⟨P_i⟩ ∈ {−1, 0, +1}` for every term on the prebuilt
+    /// state `t` into `out` (indexed by original term order): one
     /// [`Tableau::expectation`] per term.
     ///
     /// # Panics
@@ -234,69 +205,8 @@ impl GroupedObservable {
     pub fn expectations(&self, t: &Tableau, out: &mut [f64]) {
         assert_eq!(t.num_qubits(), self.n, "tableau size mismatch");
         assert_eq!(out.len(), self.num_terms, "output slice size mismatch");
-        let rw = t.row_words();
-        let mut work: Option<Tableau> = None;
-        let mut acc = vec![0u64; rw];
-        let mut outcomes = vec![false; self.n];
-        let mut det = Vec::new();
-        for g in &self.groups {
-            if !g.collapse {
-                // Sparse group: the collapse would cost more measures
-                // than direct evaluations. Same values by definition.
-                for term in &g.terms {
-                    out[term.index] = t.expectation(&term.string);
-                }
-                continue;
-            }
-            let w = match &mut work {
-                Some(w) => {
-                    w.copy_from(t);
-                    w
-                }
-                None => work.insert(t.clone()),
-            };
-            for &q in &g.rot_x {
-                w.h(q);
-            }
-            for &q in &g.rot_y {
-                w.sdg(q);
-                w.h(q);
-            }
-            // Determinism check per term, *before* any collapse: the
-            // rotated term is the Z-string over its support, so it is
-            // deterministic iff the XOR of the X bit-columns over the
-            // support has no stabilizer-row (bits n..2n) component.
-            det.clear();
-            for term in &g.terms {
-                acc.iter_mut().for_each(|a| *a = 0);
-                for &q in &term.support {
-                    for (a, &c) in acc.iter_mut().zip(w.xcol(q)) {
-                        *a ^= c;
-                    }
-                }
-                det.push(
-                    acc.iter()
-                        .enumerate()
-                        .all(|(i, &a)| a & !lo_mask(self.n, i) == 0),
-                );
-            }
-            // Collapse the union support ascending on a canonical
-            // branch; deterministic terms are branch-invariant.
-            for &(q, _) in &g.union {
-                outcomes[q] = w.measure(q, &mut ZeroRng);
-            }
-            for (term, &is_det) in g.terms.iter().zip(&det) {
-                out[term.index] = if is_det {
-                    let parity = term.support.iter().fold(false, |p, &q| p ^ outcomes[q]);
-                    if parity {
-                        -term.sign
-                    } else {
-                        term.sign
-                    }
-                } else {
-                    0.0
-                };
-            }
+        for term in self.groups.iter().flat_map(|g| &g.terms) {
+            out[term.index] = t.expectation(&term.string);
         }
     }
 
@@ -318,14 +228,14 @@ impl GroupedObservable {
     }
 }
 
-/// [`crate::estimate_energy_program`] with the noiseless expectations
-/// supplied by a precompiled [`GroupedObservable`] — the genetic-search
-/// hot path, where both the noise program *and* the grouping are
-/// compiled once and shared by every fitness evaluation.
+/// [`crate::estimate_energy_program`] with the term rows precompiled in
+/// a [`GroupedObservable`] — the genetic-search hot path, where both the
+/// noise program *and* the observable are compiled once and shared by
+/// every fitness evaluation.
 ///
-/// Bit-identical to [`crate::estimate_energy_program`]: the grouped
-/// kernel reproduces [`Tableau::expectation`] exactly and the damping /
-/// frame-flip accumulation below keeps the same floating-point order.
+/// Bit-identical to [`crate::estimate_energy_program`]: both take their
+/// noiseless expectations from a [`HeisenbergRows`] walk over the same
+/// strings and share the damping / frame-flip accumulation.
 ///
 /// # Panics
 ///
@@ -358,67 +268,16 @@ pub fn estimate_energy_program_grouped(
         grouped.num_terms(),
         "observable/grouping term-count mismatch"
     );
-    assert_eq!(
-        circuit.num_qubits(),
-        program.num_qubits(),
-        "circuit/program size mismatch"
-    );
-    let mut ideal = Tableau::new(circuit.num_qubits());
-    ideal.run(circuit);
-    let mut e0s = vec![0.0; grouped.num_terms()];
-    grouped.expectations(&ideal, &mut e0s);
-    if program.num_sites() == 0 {
-        // Noiseless fast path, same floating-point order as
-        // `estimate_energy_program`.
-        let mut e = 0.0f64;
-        for (term, &e0) in observable.terms().iter().zip(&e0s) {
-            if e0 == 0.0 {
-                continue;
-            }
-            let damp = (1.0 - 2.0 * meas_flip).powi(term.string.weight() as i32);
-            let v = term.coefficient * damp * e0;
-            if v == 0.0 {
-                continue;
-            }
-            e += v;
-        }
-        let energies = vec![e; shots];
-        return NoisyCliffordRun {
-            energy: eftq_numerics::stats::mean(&energies),
-            std_error: eftq_numerics::stats::standard_error(&energies),
-            shots,
-        };
-    }
-    let frames = program.run_threaded(shots, seed.derive("pauli-frames"), threads);
-    let mut energies = vec![0.0f64; shots];
-    let mut plane = vec![0u64; shots.div_ceil(64)];
-    for (term, &e0) in observable.terms().iter().zip(&e0s) {
-        if e0 == 0.0 {
-            continue;
-        }
-        let damp = (1.0 - 2.0 * meas_flip).powi(term.string.weight() as i32);
-        let v = term.coefficient * damp * e0;
-        if v == 0.0 {
-            continue;
-        }
-        for e in energies.iter_mut() {
-            *e += v;
-        }
-        frames.flip_plane_into(&term.string, &mut plane);
-        for (w, &word) in plane.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let s = w * 64 + bits.trailing_zeros() as usize;
-                energies[s] -= 2.0 * v;
-                bits &= bits - 1;
-            }
-        }
-    }
-    NoisyCliffordRun {
-        energy: eftq_numerics::stats::mean(&energies),
-        std_error: eftq_numerics::stats::standard_error(&energies),
+    estimate_energy_rows(
+        circuit,
+        observable,
+        &grouped.rows,
+        program,
+        meas_flip,
         shots,
-    }
+        seed,
+        threads,
+    )
 }
 
 /// Measurement-style noisy energy estimator: samples computational-basis

@@ -25,13 +25,24 @@
 //!   bit-slice sampling via [`eftq_numerics::BernoulliWords`]), and shot
 //!   batches shard across crossbeam workers with per-batch seeds, so
 //!   results are thread-count-invariant.
+//! * [`HeisenbergRows`] — the noiseless expectations every estimator
+//!   needs, in the Heisenberg picture: the observable's terms are rows of
+//!   a tableau-layout plane, conjugated back through the circuit in one
+//!   reverse walk and read off on `|0…0⟩` (bit-identical to the forward
+//!   run plus per-term [`Tableau::expectation`], without the per-term
+//!   `O(n²/64)` queries).
 //! * [`noise`] — Monte-Carlo Pauli channels (depolarizing, bit-flip,
 //!   Pauli-twirled thermal relaxation per Ghosh et al.) and the noisy
-//!   energy estimator: [`estimate_energy`] /
-//!   [`estimate_energy_threaded`] (compiled frame-batched hot path, one
-//!   tableau run + XOR frames) and
-//!   [`noise::estimate_energy_tableau`] (per-shot reference path the
-//!   equivalence property tests check against).
+//!   energy estimators. [`estimate_energy`] /
+//!   [`estimate_energy_threaded`] compile a [`NoiseProgram`] and call
+//!   [`estimate_energy_program`]; [`estimate_energy_program_grouped`]
+//!   (the genetic search's hot path) takes its term rows precompiled in
+//!   a [`GroupedObservable`]. All of them get their noiseless
+//!   expectations from one [`HeisenbergRows`] walk and flip them per
+//!   shot with XOR frames. [`noise::estimate_energy_tableau`] is the
+//!   per-shot reference path the equivalence property tests check
+//!   against, and [`sample_energy_grouped`] the measurement-style
+//!   estimator over shared QWC outcome words.
 //!
 //! # Examples
 //!
@@ -64,4 +75,4 @@ pub use noise::{
     NoisyCliffordRun, StabilizerNoise,
 };
 pub use program::{NoiseProgram, NoiseTemplate};
-pub use tableau::{sample_counts, Tableau};
+pub use tableau::{sample_counts, HeisenbergRows, Tableau};

@@ -5,7 +5,7 @@
 //! Fowler & Geller 2012), exactly the strategy the paper describes for its
 //! Clifford-state simulations (Section 5.2.2).
 
-use crate::tableau::Tableau;
+use crate::tableau::{HeisenbergRows, Tableau};
 use eftq_circuit::{Circuit, Gate};
 use eftq_numerics::SeedSequence;
 use eftq_pauli::{Pauli, PauliString, PauliSum};
@@ -260,11 +260,12 @@ pub fn run_noisy_shot<R: Rng + ?Sized>(
 /// applied analytically: each term's expectation is damped by
 /// `(1 − 2·meas_flip)^{weight}`.
 ///
-/// Implemented with the batched Pauli-frame engine: the noiseless tableau
-/// runs *once*, the circuit + noise model are compiled to a
-/// [`crate::program::NoiseProgram`] whose sites draw whole Bernoulli flip
-/// masks, noise propagates as [`crate::frame::PauliFrames`] (64 shots per
-/// word), and each term's noisy expectation is its noiseless value
+/// Implemented with the batched Pauli-frame engine: the noiseless
+/// expectations come from one [`HeisenbergRows`] walk, the circuit +
+/// noise model are compiled to a [`crate::program::NoiseProgram`] whose
+/// sites draw whole Bernoulli flip masks, noise propagates as
+/// [`crate::frame::PauliFrames`] (64 shots per word), and each term's
+/// noisy expectation is its noiseless value
 /// sign-flipped per shot by frame/term anticommutation. The statistical
 /// model is identical to running `shots` independent noisy tableaus (see
 /// [`estimate_energy_tableau`]); only the RNG stream differs.
@@ -350,21 +351,44 @@ pub fn estimate_energy_program(
         observable.num_qubits(),
         "circuit/observable size mismatch"
     );
+    let rows = HeisenbergRows::new(
+        circuit.num_qubits(),
+        observable.terms().iter().map(|t| &t.string),
+    );
+    estimate_energy_rows(
+        circuit, observable, &rows, program, meas_flip, shots, seed, threads,
+    )
+}
+
+/// The body every frame-batched estimator shares: the noiseless
+/// expectations of `observable`'s terms come from `rows` (the same
+/// strings, in term order), each is damped by `(1 − 2·meas_flip)^weight`,
+/// and frames anticommuting with a term see `−v` instead of `+v`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn estimate_energy_rows(
+    circuit: &Circuit,
+    observable: &PauliSum,
+    rows: &HeisenbergRows,
+    program: &crate::program::NoiseProgram,
+    meas_flip: f64,
+    shots: usize,
+    seed: SeedSequence,
+    threads: usize,
+) -> NoisyCliffordRun {
     assert_eq!(
         circuit.num_qubits(),
         program.num_qubits(),
         "circuit/program size mismatch"
     );
-    let mut ideal = Tableau::new(circuit.num_qubits());
-    ideal.run(circuit);
+    let mut e0s = vec![0.0; rows.num_rows()];
+    rows.expectations(circuit, &mut e0s);
     if program.num_sites() == 0 {
         // Noiseless fast path: every frame is identity, so all shots see
         // the same deterministic energy (accumulated with the same
         // floating-point order as the general path, so results agree
         // bit-for-bit).
         let mut e = 0.0f64;
-        for term in observable.terms() {
-            let e0 = ideal.expectation(&term.string);
+        for (term, &e0) in observable.terms().iter().zip(&e0s) {
             if e0 == 0.0 {
                 continue;
             }
@@ -385,8 +409,7 @@ pub fn estimate_energy_program(
     let frames = program.run_threaded(shots, seed.derive("pauli-frames"), threads);
     let mut energies = vec![0.0f64; shots];
     let mut plane = vec![0u64; shots.div_ceil(64)];
-    for term in observable.terms() {
-        let e0 = ideal.expectation(&term.string);
+    for (term, &e0) in observable.terms().iter().zip(&e0s) {
         if e0 == 0.0 {
             continue;
         }

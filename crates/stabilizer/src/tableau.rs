@@ -1,4 +1,5 @@
-//! The destabilizer/stabilizer tableau (Aaronson & Gottesman 2004).
+//! The destabilizer/stabilizer tableau (Aaronson & Gottesman 2004), and
+//! the same storage reused for Heisenberg-picture expectations.
 //!
 //! Storage is *column-major* (Stim-style): for every qubit, the X and Z
 //! bits of all `2n` generator rows are packed into `u64` words. A gate on
@@ -6,6 +7,15 @@
 //! XOR/AND kernels instead of `2n` bit-at-a-time updates, and
 //! [`Tableau::expectation`] accumulates the product phase with
 //! popcount/prefix-XOR word arithmetic rather than per-qubit scans.
+//!
+//! The gate kernels conjugate *every* row by the gate, whatever the rows
+//! are. [`HeisenbergRows`] exploits that: its rows are an observable's T
+//! terms instead of generators (⌈T/64⌉ words per column), and walking
+//! the circuit in reverse with each gate's inverse turns every term `P`
+//! into `U†PU`, whose value on `|0…0⟩` is read off its X bits and sign.
+//! That replaces a forward run plus T per-term expectation queries, and
+//! it is how every energy estimator in this crate gets its noiseless
+//! values.
 
 use eftq_circuit::{Angle, Circuit, Gate};
 use eftq_numerics::words;
@@ -148,16 +158,10 @@ impl Tableau {
         &self.z[q * self.rwords..(q + 1) * self.rwords]
     }
 
-    /// Words per bit-column (⌈2n/64⌉).
-    #[inline]
-    pub(crate) fn row_words(&self) -> usize {
-        self.rwords
-    }
-
     /// Overwrites `self` with a copy of `other`, reusing the existing
     /// allocations (unlike the derived `clone`, which reallocates). The
-    /// grouped-expectation kernel uses this to reset its scratch tableau
-    /// once per group without churning the allocator.
+    /// grouped sampler uses this to reset its scratch tableau once per
+    /// group without churning the allocator.
     ///
     /// # Panics
     ///
@@ -276,21 +280,51 @@ impl Tableau {
             Gate::Cx(c, t) => self.cx(c, t),
             Gate::Cz(a, b) => self.cz(a, b),
             Gate::Swap(a, b) => self.swap(a, b),
-            Gate::Rz(q, Angle::Value(v)) => self.apply_quarter_z(q, quarter_turns(v, gate)),
-            Gate::Rx(q, Angle::Value(v)) => {
+            Gate::Rz(q, Angle::Value(v))
+            | Gate::Rx(q, Angle::Value(v))
+            | Gate::Ry(q, Angle::Value(v)) => self.rotate(gate, q, quarter_turns(v, gate)),
+            ref g => panic!("tableau cannot apply gate {g}"),
+        }
+    }
+
+    /// Conjugates by the inverse of one Clifford gate: H, the Paulis, CX,
+    /// CZ and SWAP are self-inverse, S and S† trade places, and a rotation
+    /// at `k` quarter turns runs its forward sequence at `−k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics wherever [`Tableau::apply_gate`] does.
+    fn apply_inverse_gate(&mut self, gate: &Gate) {
+        match *gate {
+            Gate::S(q) => self.sdg(q),
+            Gate::Sdg(q) => self.s(q),
+            Gate::Rz(q, Angle::Value(v))
+            | Gate::Rx(q, Angle::Value(v))
+            | Gate::Ry(q, Angle::Value(v)) => {
+                self.rotate(gate, q, (4 - quarter_turns(v, gate)) % 4)
+            }
+            _ => self.apply_gate(gate),
+        }
+    }
+
+    /// The rotation `gate` (an `Rz`, `Rx` or `Ry` on `q`) at `k` quarter
+    /// turns.
+    fn rotate(&mut self, gate: &Gate, q: usize, k: u8) {
+        match gate {
+            Gate::Rz(..) => self.apply_quarter_z(q, k),
+            Gate::Rx(..) => {
                 self.h(q);
-                self.apply_quarter_z(q, quarter_turns(v, gate));
+                self.apply_quarter_z(q, k);
                 self.h(q);
             }
-            Gate::Ry(q, Angle::Value(v)) => {
+            _ => {
                 // Ry(θ) = S · Rx(θ) · S†: conjugation order S† first.
                 self.sdg(q);
                 self.h(q);
-                self.apply_quarter_z(q, quarter_turns(v, gate));
+                self.apply_quarter_z(q, k);
                 self.h(q);
                 self.s(q);
             }
-            ref g => panic!("tableau cannot apply gate {g}"),
         }
     }
 
@@ -530,6 +564,133 @@ impl Tableau {
         self.sgn[wd] = (self.sgn[wd] & !(1 << bd)) | (u64::from(sign_p) << bd);
         self.sgn[wp] = (self.sgn[wp] & !(1 << bp)) | (u64::from(outcome) << bp);
         outcome
+    }
+}
+
+/// The terms of an observable as the rows of a column-major Pauli plane,
+/// for Heisenberg-picture expectations on `|0…0⟩`.
+///
+/// [`HeisenbergRows::expectations`] computes `⟨0|U†PU|0⟩` for every row
+/// `P` without building the state `U|0⟩`: it walks the circuit once in
+/// reverse, conjugating all rows by each gate's inverse with the same
+/// word kernels a [`Tableau`] gate uses (the plane *is* the tableau
+/// layout, with ⌈T/64⌉ words per qubit column for T rows instead of
+/// ⌈2n/64⌉). A conjugated row with an X or Y letter left has expectation
+/// 0 on `|0…0⟩`; a pure Z-string has `(−1)^sign`. The values are exactly
+/// those of [`Tableau::expectation`] on the forward-run state, so the
+/// two are interchangeable bit for bit.
+///
+/// Cost for G gates: `G·⌈T/64⌉ + n·⌈T/64⌉` word operations, against
+/// `G·⌈2n/64⌉ + T·n·⌈2n/64⌉` for the forward run plus per-term queries.
+/// The forward path would win only where G > 2n² and T ≫ n; the FCHE
+/// ansatz has G ≈ n²/2.
+///
+/// # Examples
+///
+/// ```
+/// use eftq_circuit::Circuit;
+/// use eftq_pauli::PauliString;
+/// use eftq_stabilizer::HeisenbergRows;
+///
+/// let mut c = Circuit::new(3);
+/// c.h(0).cx(0, 1).cx(1, 2);
+/// let terms: Vec<PauliString> = ["XXX", "-YYX", "ZZI", "ZII"]
+///     .iter()
+///     .map(|s| s.parse().unwrap())
+///     .collect();
+/// let rows = HeisenbergRows::new(3, &terms);
+/// let mut e0 = vec![0.0; rows.num_rows()];
+/// rows.expectations(&c, &mut e0);
+/// assert_eq!(e0, vec![1.0, 1.0, 1.0, 0.0]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct HeisenbergRows {
+    /// Row `r` of the plane is string `r`. Not a stabilizer state: only
+    /// the gate kernels may touch it.
+    plane: Tableau,
+    rows: usize,
+}
+
+impl HeisenbergRows {
+    /// Packs `strings` (each on `n` qubits) as rows, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`, on a qubit-count mismatch, or on a
+    /// non-Hermitian phase.
+    pub fn new<'a>(n: usize, strings: impl IntoIterator<Item = &'a PauliString>) -> Self {
+        assert!(n > 0, "tableau needs at least one qubit");
+        let strings: Vec<&PauliString> = strings.into_iter().collect();
+        let rwords = strings.len().div_ceil(WORD_BITS);
+        let mut plane = Tableau {
+            n,
+            rwords,
+            x: vec![0; n * rwords],
+            z: vec![0; n * rwords],
+            sgn: vec![0; rwords],
+        };
+        for (r, p) in strings.iter().enumerate() {
+            assert_eq!(p.num_qubits(), n, "pauli size mismatch");
+            assert!(p.is_hermitian(), "expectation needs a Hermitian Pauli");
+            let (w, bit) = (r / WORD_BITS, 1u64 << (r % WORD_BITS));
+            for q in p.support() {
+                let letter = p.pauli_at(q);
+                if letter.x_bit() {
+                    plane.x[q * rwords + w] |= bit;
+                }
+                if letter.z_bit() {
+                    plane.z[q * rwords + w] |= bit;
+                }
+            }
+            if p.phase_exponent() == 2 {
+                plane.sgn[w] |= bit;
+            }
+        }
+        HeisenbergRows {
+            plane,
+            rows: strings.len(),
+        }
+    }
+
+    /// Number of rows (strings).
+    pub fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Writes `⟨0|U†P_rU|0⟩ ∈ {−1, 0, +1}` for every row `r` into `out`,
+    /// where `U` is the bound Clifford `circuit` with its measurements
+    /// skipped (as in [`Tableau::run`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a size mismatch, and on any gate
+    /// [`Tableau::apply_gate`] rejects other than `Measure`.
+    pub fn expectations(&self, circuit: &Circuit, out: &mut [f64]) {
+        assert_eq!(circuit.num_qubits(), self.plane.n, "circuit size mismatch");
+        assert_eq!(out.len(), self.rows, "output slice size mismatch");
+        let mut walk = self.plane.clone();
+        for g in circuit.gates().iter().rev() {
+            if !g.is_measurement() {
+                walk.apply_inverse_gate(g);
+            }
+        }
+        // ⟨0|±Z-string|0⟩ = ±1; any X bit flips a |0⟩ to |1⟩ ⇒ 0.
+        let rw = walk.rwords;
+        let mut has_x = vec![0u64; rw];
+        for q in 0..walk.n {
+            for (h, &x) in has_x.iter_mut().zip(walk.xcol(q)) {
+                *h |= x;
+            }
+        }
+        for (r, e) in out.iter_mut().enumerate() {
+            *e = if plane_get(&has_x, r) {
+                0.0
+            } else if plane_get(&walk.sgn, r) {
+                -1.0
+            } else {
+                1.0
+            };
+        }
     }
 }
 
