@@ -2,13 +2,18 @@
 //! regime) — the cost that dominates Figures 12-15 — and the GA fitness
 //! compilation hoist (per-genome `NoiseProgram::compile` vs binding a
 //! precompiled `NoiseTemplate`), recorded in the bench JSON so the
-//! before/after of the hoist stays on the record.
+//! before/after of the hoist stays on the record, and whole 100-qubit GA
+//! fitness evaluations next to the forward frame walk they replaced.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use eft_vqa::vqe::noisy_energy;
 use eft_vqa::ExecutionRegime;
 use eftq_circuit::ansatz::fully_connected_hea;
-use eftq_stabilizer::{GroupedObservable, HeisenbergRows, NoiseProgram, NoiseTemplate, Tableau};
+use eftq_numerics::SeedSequence;
+use eftq_stabilizer::{
+    estimate_energy_program_grouped, GroupedObservable, HeisenbergRows, NoiseProgram,
+    NoiseTemplate, Tableau,
+};
 
 fn bench_energy_evaluations(c: &mut Criterion) {
     let mut group = c.benchmark_group("vqe_energy");
@@ -30,7 +35,7 @@ fn bench_energy_evaluations(c: &mut Criterion) {
 
 /// The Figure-12 GA fitness loop used to recompile the noise program for
 /// every genome; now the symbolic ansatz compiles once and each genome
-/// only re-resolves quarter-turn parities. These two benches are that
+/// only binds its quarter turns. These two benches are that
 /// before/after at the Figure-12 16-qubit shape.
 fn bench_fitness_compilation(c: &mut Criterion) {
     let mut group = c.benchmark_group("noise_compile");
@@ -113,10 +118,77 @@ fn bench_grouped_expectations(c: &mut Criterion) {
     group.finish();
 }
 
+/// One Figure-12 GA fitness evaluation at the full 100-qubit scale, as
+/// `clifford_vqe_with_template` runs it: bind the genome into the
+/// precompiled template, then one 16-shot `noisy_walk` estimate (no
+/// bound `Circuit`).
+///
+/// * `fche_{ising,heisenberg}_100q_{pqec,nisq}`: both models under both
+///   regimes' noise.
+/// * `forward_frames_heisenberg_100q_nisq`: the noise half of the path
+///   the walk replaced — the forward frame walk (`run_threaded`) plus one
+///   `flip_plane_into` per term — kept as the record.
+fn bench_ga_fitness(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ga_fitness");
+    group.sample_size(20);
+    let n = 100;
+    let shots = 16;
+    let ansatz = fully_connected_hea(n, 1);
+    let genome: Vec<u8> = (0..ansatz.num_params()).map(|i| (i % 4) as u8).collect();
+    let seed = SeedSequence::new(7);
+    let ising = eft_vqa::hamiltonians::ising_1d(n, 1.0);
+    let heisenberg = eft_vqa::hamiltonians::heisenberg_1d(n, 1.0);
+    for regime in [
+        ExecutionRegime::pqec_default(),
+        ExecutionRegime::nisq_default(),
+    ] {
+        let template = NoiseTemplate::compile(ansatz.circuit(), &regime.stabilizer_noise());
+        for (name, obs) in [("ising", &ising), ("heisenberg", &heisenberg)] {
+            let grouped = GroupedObservable::compile(obs);
+            let id = format!("fche_{name}_100q_{}", regime.name().to_lowercase());
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    let program = template.bind_clifford(&genome);
+                    estimate_energy_program_grouped(
+                        ansatz.circuit(),
+                        obs,
+                        &grouped,
+                        &program,
+                        template.meas_flip(),
+                        shots,
+                        seed,
+                        1,
+                    )
+                    .energy
+                });
+            });
+        }
+    }
+    let nisq = NoiseTemplate::compile(
+        ansatz.circuit(),
+        &ExecutionRegime::nisq_default().stabilizer_noise(),
+    );
+    let program = nisq.bind_clifford(&genome);
+    group.bench_function("forward_frames_heisenberg_100q_nisq", |b| {
+        b.iter(|| {
+            let frames = program.run_threaded(shots, seed.derive("pauli-frames"), 1);
+            let mut plane = [0u64; 1];
+            let mut flips = 0u32;
+            for term in heisenberg.terms() {
+                frames.flip_plane_into(&term.string, &mut plane);
+                flips += plane[0].count_ones();
+            }
+            black_box(flips)
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_energy_evaluations,
     bench_fitness_compilation,
-    bench_grouped_expectations
+    bench_grouped_expectations,
+    bench_ga_fitness
 );
 criterion_main!(benches);

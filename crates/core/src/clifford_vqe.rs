@@ -59,7 +59,7 @@ pub struct CliffordVqeOutcome {
 /// The circuit + noise model compile *once* into a
 /// [`NoiseTemplate`] before the search starts: every genome shares the
 /// ansatz structure (layering, injection sites, probability classes), so
-/// the per-genome fitness only re-resolves quarter-turn parities — see
+/// the per-genome fitness only binds the genome's quarter turns — see
 /// [`clifford_vqe_with_template`] to share that compilation across
 /// several searches (e.g. a sweep's grid points).
 ///
@@ -109,15 +109,15 @@ pub fn clifford_vqe_with_template(
         ..config.ga
     };
     let shots = config.shots.max(1);
-    // Compile the QWC grouping once: every fitness evaluation shares it
-    // (like the noise template), and the grouped kernel is bit-identical
-    // to the per-term `estimate_energy_program` path it replaces.
+    // Compile the term rows once: every fitness evaluation shares them
+    // (like the noise template). The bound program's sign-exact tape
+    // stands in for the bound circuit, which the estimator only
+    // size-checks, so no per-genome `Circuit` is built.
     let grouped = GroupedObservable::compile(observable);
     let result = minimize_genetic(ansatz.num_params(), &ga, |genome| {
-        let circuit = ansatz.bind_clifford(genome);
         let program = template.bind_clifford(genome);
         estimate_energy_program_grouped(
-            &circuit,
+            ansatz.circuit(),
             observable,
             &grouped,
             &program,
@@ -162,8 +162,9 @@ pub fn noiseless_reference_energy(
 /// *estimate* is optimistically biased — re-evaluation removes the bias.
 ///
 /// Re-evaluation is a single large estimate, so — unlike the search,
-/// where the GA parallelizes across genomes — the shot batches themselves
-/// shard across `threads` workers (pass the GA's `threads` knob). The
+/// where the GA parallelizes across genomes — the sampling of its shot
+/// batches shards across `threads` workers (pass the GA's `threads`
+/// knob). The
 /// result is bit-identical for every `threads` value.
 pub fn reevaluate_genome(
     ansatz: &Ansatz,

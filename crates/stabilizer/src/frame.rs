@@ -14,7 +14,10 @@
 //! Hamiltonian term is therefore the noiseless tableau expectation,
 //! sign-flipped per shot by [`PauliFrames::flip_plane`] — the equivalence
 //! argument behind [`crate::estimate_energy`], validated against the
-//! per-shot tableau path by the `frame_equivalence` property suite.
+//! per-shot tableau path by the `frame_equivalence` property suite. The
+//! estimators themselves get the same flips without frames, from the
+//! reverse walk of [`crate::HeisenbergRows::noisy_walk`]; the frames stay
+//! as its oracle and for the grouped sampling estimator.
 
 use crate::noise::StabilizerNoise;
 use crate::tableau::quarter_turns;
@@ -219,6 +222,16 @@ impl PauliFrames {
         }
     }
 
+    /// XORs the letter `(x, z)` into the shots of lane word `w` on qubit
+    /// `q`: bit `s` of `x` (`z`) toggles the X (Z) component of shot
+    /// `64w + s`.
+    #[inline]
+    pub(crate) fn inject_words(&mut self, q: usize, w: usize, x: u64, z: u64) {
+        let idx = q * self.words + w;
+        self.fx[idx] ^= x;
+        self.fz[idx] ^= z;
+    }
+
     /// XORs single-qubit depolarizing errors into every shot whose bit is
     /// set in `mask`: each hit lane receives a uniform X/Y/Z letter,
     /// chosen word-parallel — two random words give each lane a candidate
@@ -270,18 +283,7 @@ impl PauliFrames {
             if h == 0 {
                 continue;
             }
-            let mut xa = rng.gen::<u64>() & h;
-            let mut za = rng.gen::<u64>() & h;
-            let mut xb = rng.gen::<u64>() & h;
-            let mut zb = rng.gen::<u64>() & h;
-            let mut bad = h & !(xa | za | xb | zb);
-            while bad != 0 {
-                xa |= bad & rng.gen::<u64>();
-                za |= bad & rng.gen::<u64>();
-                xb |= bad & rng.gen::<u64>();
-                zb |= bad & rng.gen::<u64>();
-                bad &= !(xa | za | xb | zb);
-            }
+            let [xa, za, xb, zb] = uniform_nonzero_quad(h, rng);
             self.fx[ba + w] ^= xa;
             self.fz[ba + w] ^= za;
             self.fx[bb + w] ^= xb;
@@ -306,100 +308,6 @@ impl PauliFrames {
     ) {
         assert!(mask.len() >= self.words, "mask too short");
         for (w, &h) in mask.iter().enumerate().take(self.words) {
-            let mut bits = h;
-            while bits != 0 {
-                let s = w * WORD_BITS + bits.trailing_zeros() as usize;
-                self.inject(q, s, ladder.conditional_letter(rng));
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    /// Hit-list form of [`PauliFrames::inject_depolarizing_masked`]: each
-    /// `(word, lane-mask)` pair receives word-parallel uniform X/Y/Z
-    /// letters. Pairs must arrive in ascending word order with non-empty
-    /// masks — the shape [`eftq_numerics::BernoulliWords::hit_words`]
-    /// produces — and then the RNG draws match the masked variant exactly,
-    /// so the two forms are interchangeable mid-stream. An empty list
-    /// costs nothing; that is the point: at sparse noise rates most
-    /// injection sites have no hits, and this path skips the mask
-    /// materialization and scan the masked form pays per site.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair's word index is out of range.
-    pub fn inject_depolarizing_hits<R: Rng + ?Sized>(
-        &mut self,
-        q: usize,
-        hits: &[(u32, u64)],
-        rng: &mut R,
-    ) {
-        let b = q * self.words;
-        for &(w, h) in hits {
-            let w = w as usize;
-            assert!(w < self.words, "hit word {w} out of range");
-            let (x, z) = uniform_nonzero_pair(h, rng);
-            self.fx[b + w] ^= x;
-            self.fz[b + w] ^= z;
-        }
-    }
-
-    /// Hit-list form of [`PauliFrames::inject_depolarizing_2q_masked`]
-    /// (uniform non-identity two-qubit Pauli per hit lane). Same contract
-    /// and RNG-stream equivalence as
-    /// [`PauliFrames::inject_depolarizing_hits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair's word index is out of range.
-    pub fn inject_depolarizing_2q_hits<R: Rng + ?Sized>(
-        &mut self,
-        a: usize,
-        b: usize,
-        hits: &[(u32, u64)],
-        rng: &mut R,
-    ) {
-        let (ba, bb) = (a * self.words, b * self.words);
-        for &(w, h) in hits {
-            let w = w as usize;
-            assert!(w < self.words, "hit word {w} out of range");
-            let mut xa = rng.gen::<u64>() & h;
-            let mut za = rng.gen::<u64>() & h;
-            let mut xb = rng.gen::<u64>() & h;
-            let mut zb = rng.gen::<u64>() & h;
-            let mut bad = h & !(xa | za | xb | zb);
-            while bad != 0 {
-                xa |= bad & rng.gen::<u64>();
-                za |= bad & rng.gen::<u64>();
-                xb |= bad & rng.gen::<u64>();
-                zb |= bad & rng.gen::<u64>();
-                bad &= !(xa | za | xb | zb);
-            }
-            self.fx[ba + w] ^= xa;
-            self.fz[ba + w] ^= za;
-            self.fx[bb + w] ^= xb;
-            self.fz[bb + w] ^= zb;
-        }
-    }
-
-    /// Hit-list form of [`PauliFrames::inject_idle_masked`] (one
-    /// ladder-conditional letter per hit lane, drawn in ascending shot
-    /// order). Same contract and RNG-stream equivalence as
-    /// [`PauliFrames::inject_depolarizing_hits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair's word index is out of range.
-    pub fn inject_idle_hits<R: Rng + ?Sized>(
-        &mut self,
-        q: usize,
-        hits: &[(u32, u64)],
-        ladder: &crate::noise::IdleLadder,
-        rng: &mut R,
-    ) {
-        for &(w, h) in hits {
-            let w = w as usize;
-            assert!(w < self.words, "hit word {w} out of range");
             let mut bits = h;
             while bits != 0 {
                 let s = w * WORD_BITS + bits.trailing_zeros() as usize;
@@ -486,8 +394,8 @@ impl PauliFrames {
     }
 
     /// One bit per shot: set iff that shot's frame anticommutes with `p`
-    /// (i.e. the shot's expectation of `p` is sign-flipped). Word-parallel:
-    /// `O(weight(p) · shots/64)`.
+    /// (i.e. the shot's expectation of `p` is sign-flipped). Word-parallel
+    /// over `p`'s support: `O(weight(p) · shots/64)`.
     ///
     /// # Panics
     ///
@@ -510,7 +418,7 @@ impl PauliFrames {
         assert!(acc.len() >= self.words, "flip-plane buffer too short");
         let wl = self.words;
         acc.fill(0);
-        for q in 0..self.n {
+        for q in p.support() {
             let letter = p.pauli_at(q);
             if letter.z_bit() {
                 for (a, &x) in acc.iter_mut().zip(&self.fx[q * wl..(q + 1) * wl]) {
@@ -567,7 +475,7 @@ pub(crate) fn lo_mask_tail(shots: usize, words: usize) -> u64 {
 /// until none remain (each round keeps 3 of 4 candidates, so the loop
 /// terminates geometrically fast).
 #[inline]
-fn uniform_nonzero_pair<R: Rng + ?Sized>(h: u64, rng: &mut R) -> (u64, u64) {
+pub(crate) fn uniform_nonzero_pair<R: Rng + ?Sized>(h: u64, rng: &mut R) -> (u64, u64) {
     let mut x = rng.gen::<u64>() & h;
     let mut z = rng.gen::<u64>() & h;
     let mut bad = h & !(x | z);
@@ -577,6 +485,26 @@ fn uniform_nonzero_pair<R: Rng + ?Sized>(h: u64, rng: &mut R) -> (u64, u64) {
         bad &= !(x | z);
     }
     (x, z)
+}
+
+/// Two-qubit analogue of [`uniform_nonzero_pair`]: a uniform draw over
+/// the fifteen non-identity `(xa, za, xb, zb)` letters per lane of `h`,
+/// `(0, 0, 0, 0)` lanes redrawn.
+#[inline]
+pub(crate) fn uniform_nonzero_quad<R: Rng + ?Sized>(h: u64, rng: &mut R) -> [u64; 4] {
+    let mut xa = rng.gen::<u64>() & h;
+    let mut za = rng.gen::<u64>() & h;
+    let mut xb = rng.gen::<u64>() & h;
+    let mut zb = rng.gen::<u64>() & h;
+    let mut bad = h & !(xa | za | xb | zb);
+    while bad != 0 {
+        xa |= bad & rng.gen::<u64>();
+        za |= bad & rng.gen::<u64>();
+        xb |= bad & rng.gen::<u64>();
+        zb |= bad & rng.gen::<u64>();
+        bad &= !(xa | za | xb | zb);
+    }
+    [xa, za, xb, zb]
 }
 
 /// Propagates `shots` Pauli frames through a bound Clifford circuit under

@@ -7,8 +7,9 @@
 //!
 //! 1. **Term rows.** The terms become the rows of a [`HeisenbergRows`]
 //!    plane, from which [`estimate_energy_program_grouped`] gets every
-//!    noiseless expectation in one reverse walk of the bound circuit
-//!    (see [`HeisenbergRows`] for the walk and its cost).
+//!    noiseless expectation and every shot's sign flips in one reverse
+//!    walk of the bound program (see [`HeisenbergRows::noisy_walk`] for
+//!    the walk and its cost).
 //! 2. **Groups.** [`eftq_pauli::group_qubit_wise_commuting`] partitions
 //!    the terms; per group the compile records which qubits rotate `X→Z`
 //!    (H) or `Y→Z` (S† then H), the ascending union support, and each
@@ -233,9 +234,10 @@ impl GroupedObservable {
 /// noise program *and* the observable are compiled once and shared by
 /// every fitness evaluation.
 ///
-/// Bit-identical to [`crate::estimate_energy_program`]: both take their
-/// noiseless expectations from a [`HeisenbergRows`] walk over the same
-/// strings and share the damping / frame-flip accumulation.
+/// Bit-identical to [`crate::estimate_energy_program`]: both run one
+/// [`HeisenbergRows::noisy_walk`] of `program` over the same strings and
+/// share the damping / sign-flip accumulation. As there, `circuit` is
+/// only size-checked; the program's tape stands in for it.
 ///
 /// # Panics
 ///
@@ -268,8 +270,12 @@ pub fn estimate_energy_program_grouped(
         grouped.num_terms(),
         "observable/grouping term-count mismatch"
     );
+    assert_eq!(
+        circuit.num_qubits(),
+        program.num_qubits(),
+        "circuit/program size mismatch"
+    );
     estimate_energy_rows(
-        circuit,
         observable,
         &grouped.rows,
         program,

@@ -25,12 +25,15 @@
 //!   bit-slice sampling via [`eftq_numerics::BernoulliWords`]), and shot
 //!   batches shard across crossbeam workers with per-batch seeds, so
 //!   results are thread-count-invariant.
-//! * [`HeisenbergRows`] — the noiseless expectations every estimator
-//!   needs, in the Heisenberg picture: the observable's terms are rows of
-//!   a tableau-layout plane, conjugated back through the circuit in one
-//!   reverse walk and read off on `|0…0⟩` (bit-identical to the forward
-//!   run plus per-term [`Tableau::expectation`], without the per-term
-//!   `O(n²/64)` queries).
+//! * [`HeisenbergRows`] — what every estimator needs, in the Heisenberg
+//!   picture: the observable's terms are rows of a tableau-layout plane,
+//!   conjugated back through the circuit (or a [`NoiseProgram`]'s
+//!   sign-exact tape) in one reverse walk and read off on `|0…0⟩`
+//!   (bit-identical to the forward run plus per-term
+//!   [`Tableau::expectation`]). On a program,
+//!   [`HeisenbergRows::noisy_walk`] also folds every sampled error into
+//!   its shot's flip row at the site that injects it, which yields the
+//!   same sign flips as propagating Pauli frames forward.
 //! * [`noise`] — Monte-Carlo Pauli channels (depolarizing, bit-flip,
 //!   Pauli-twirled thermal relaxation per Ghosh et al.) and the noisy
 //!   energy estimators. [`estimate_energy`] /
@@ -38,8 +41,9 @@
 //!   [`estimate_energy_program`]; [`estimate_energy_program_grouped`]
 //!   (the genetic search's hot path) takes its term rows precompiled in
 //!   a [`GroupedObservable`]. All of them get their noiseless
-//!   expectations from one [`HeisenbergRows`] walk and flip them per
-//!   shot with XOR frames. [`noise::estimate_energy_tableau`] is the
+//!   expectations and every shot's sign flips from one
+//!   [`HeisenbergRows::noisy_walk`] of the program, with no forward frame
+//!   walk. [`noise::estimate_energy_tableau`] is the
 //!   per-shot reference path the equivalence property tests check
 //!   against, and [`sample_energy_grouped`] the measurement-style
 //!   estimator over shared QWC outcome words.
@@ -75,4 +79,4 @@ pub use noise::{
     NoisyCliffordRun, StabilizerNoise,
 };
 pub use program::{NoiseProgram, NoiseTemplate};
-pub use tableau::{sample_counts, HeisenbergRows, Tableau};
+pub use tableau::{sample_counts, HeisenbergRows, NoisyRows, Tableau};

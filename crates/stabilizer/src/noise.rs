@@ -260,15 +260,16 @@ pub fn run_noisy_shot<R: Rng + ?Sized>(
 /// applied analytically: each term's expectation is damped by
 /// `(1 − 2·meas_flip)^{weight}`.
 ///
-/// Implemented with the batched Pauli-frame engine: the noiseless
-/// expectations come from one [`HeisenbergRows`] walk, the circuit +
-/// noise model are compiled to a [`crate::program::NoiseProgram`] whose
-/// sites draw whole Bernoulli flip masks, noise propagates as
-/// [`crate::frame::PauliFrames`] (64 shots per word), and each term's
-/// noisy expectation is its noiseless value
-/// sign-flipped per shot by frame/term anticommutation. The statistical
-/// model is identical to running `shots` independent noisy tableaus (see
-/// [`estimate_energy_tableau`]); only the RNG stream differs.
+/// Implemented in the Heisenberg picture: the circuit + noise model are
+/// compiled to a [`crate::program::NoiseProgram`] whose sites draw whole
+/// Bernoulli flip masks, and one reverse walk of its tape
+/// ([`HeisenbergRows::noisy_walk`]) yields every term's noiseless value
+/// and every shot's sign flips — a shot's value of a term is flipped
+/// exactly when its Pauli frame (the forward-propagated errors of
+/// [`crate::frame::PauliFrames`]) anticommutes with the term. The
+/// statistical model is identical to running `shots` independent noisy
+/// tableaus (see [`estimate_energy_tableau`]); only the RNG stream
+/// differs.
 ///
 /// Equivalent to [`estimate_energy_threaded`] with one worker — and,
 /// because shot batches derive their RNG streams from their batch index,
@@ -287,8 +288,9 @@ pub fn estimate_energy(
     estimate_energy_threaded(circuit, observable, noise, shots, seed, 1)
 }
 
-/// [`estimate_energy`] with shot batches sharded across `threads`
-/// crossbeam workers.
+/// [`estimate_energy`] with the sampling of shot batches sharded across
+/// `threads` crossbeam workers (the reverse walk that folds the sampled
+/// errors is one pass over the program, whatever the shot count).
 ///
 /// Each 256-shot batch derives its RNG stream from the root seed and its
 /// own batch index, so the result is deterministic for a fixed seed and
@@ -332,6 +334,11 @@ pub fn estimate_energy_threaded(
 /// compiling noise model's value, e.g. via
 /// [`crate::NoiseTemplate::meas_flip`].
 ///
+/// The program's sign-exact tape stands in for the circuit: both the
+/// noiseless values and the noise come from `program`, and `circuit` is
+/// only size-checked. Pass the circuit the program was compiled (or
+/// bound) from.
+///
 /// # Panics
 ///
 /// Panics if `shots == 0` or the circuit/observable/program sizes
@@ -351,22 +358,25 @@ pub fn estimate_energy_program(
         observable.num_qubits(),
         "circuit/observable size mismatch"
     );
+    assert_eq!(
+        circuit.num_qubits(),
+        program.num_qubits(),
+        "circuit/program size mismatch"
+    );
     let rows = HeisenbergRows::new(
         circuit.num_qubits(),
         observable.terms().iter().map(|t| &t.string),
     );
-    estimate_energy_rows(
-        circuit, observable, &rows, program, meas_flip, shots, seed, threads,
-    )
+    estimate_energy_rows(observable, &rows, program, meas_flip, shots, seed, threads)
 }
 
-/// The body every frame-batched estimator shares: the noiseless
-/// expectations of `observable`'s terms come from `rows` (the same
-/// strings, in term order), each is damped by `(1 − 2·meas_flip)^weight`,
-/// and frames anticommuting with a term see `−v` instead of `+v`.
-#[allow(clippy::too_many_arguments)]
+/// The body every damping estimator shares: one
+/// [`HeisenbergRows::noisy_walk`] of `program` over `observable`'s terms
+/// (`rows` holds the same strings, in term order) gives every term's
+/// noiseless value `e0` and every shot's flip bits. Each term adds
+/// `v = c·(1 − 2·meas_flip)^weight·e0` to every shot and then `−2v` to
+/// the shots whose errors anticommute with it, in term order.
 pub(crate) fn estimate_energy_rows(
-    circuit: &Circuit,
     observable: &PauliSum,
     rows: &HeisenbergRows,
     program: &crate::program::NoiseProgram,
@@ -375,63 +385,37 @@ pub(crate) fn estimate_energy_rows(
     seed: SeedSequence,
     threads: usize,
 ) -> NoisyCliffordRun {
-    assert_eq!(
-        circuit.num_qubits(),
-        program.num_qubits(),
-        "circuit/program size mismatch"
-    );
-    let mut e0s = vec![0.0; rows.num_rows()];
-    rows.expectations(circuit, &mut e0s);
-    if program.num_sites() == 0 {
-        // Noiseless fast path: every frame is identity, so all shots see
-        // the same deterministic energy (accumulated with the same
-        // floating-point order as the general path, so results agree
-        // bit-for-bit).
-        let mut e = 0.0f64;
-        for (term, &e0) in observable.terms().iter().zip(&e0s) {
+    let walk = rows.noisy_walk(program, shots, seed.derive("pauli-frames"), threads);
+    // Per contributing term: its flip-row word and bit, `+v`, and the
+    // `[0, 2v]` to subtract by flip bit. Subtracting +0.0 leaves every
+    // value unchanged, so the loop needs no branch on the (often
+    // unpredictable) flip bit.
+    let weights: Vec<(usize, u32, f64, [f64; 2])> = observable
+        .terms()
+        .iter()
+        .zip(walk.expectations())
+        .enumerate()
+        .filter_map(|(t, (term, &e0))| {
             if e0 == 0.0 {
-                continue;
+                return None;
             }
             let damp = (1.0 - 2.0 * meas_flip).powi(term.string.weight() as i32);
             let v = term.coefficient * damp * e0;
-            if v == 0.0 {
-                continue;
+            (v != 0.0).then_some((t / 64, (t % 64) as u32, v, [0.0, 2.0 * v]))
+        })
+        .collect();
+    let energies: Vec<f64> = (0..shots)
+        .map(|s| {
+            let flips = walk.flip_row(s);
+            let mut e = 0.0f64;
+            for &(w, bit, v, sub) in &weights {
+                e += v;
+                // Shots whose errors anticommute with the term see −v.
+                e -= sub[(flips[w] >> bit & 1) as usize];
             }
-            e += v;
-        }
-        let energies = vec![e; shots];
-        return NoisyCliffordRun {
-            energy: eftq_numerics::stats::mean(&energies),
-            std_error: eftq_numerics::stats::standard_error(&energies),
-            shots,
-        };
-    }
-    let frames = program.run_threaded(shots, seed.derive("pauli-frames"), threads);
-    let mut energies = vec![0.0f64; shots];
-    let mut plane = vec![0u64; shots.div_ceil(64)];
-    for (term, &e0) in observable.terms().iter().zip(&e0s) {
-        if e0 == 0.0 {
-            continue;
-        }
-        let damp = (1.0 - 2.0 * meas_flip).powi(term.string.weight() as i32);
-        let v = term.coefficient * damp * e0;
-        if v == 0.0 {
-            continue;
-        }
-        for e in energies.iter_mut() {
-            *e += v;
-        }
-        // Anticommuting frames see −v instead of +v.
-        frames.flip_plane_into(&term.string, &mut plane);
-        for (w, &word) in plane.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let s = w * 64 + bits.trailing_zeros() as usize;
-                energies[s] -= 2.0 * v;
-                bits &= bits - 1;
-            }
-        }
-    }
+            e
+        })
+        .collect();
     NoisyCliffordRun {
         energy: eftq_numerics::stats::mean(&energies),
         std_error: eftq_numerics::stats::standard_error(&energies),

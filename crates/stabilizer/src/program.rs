@@ -1,30 +1,43 @@
 //! Compiled noise programs: the batched sampling engine behind
 //! [`crate::estimate_energy`].
 //!
-//! A noisy frame run has two very different cost centres: *propagating*
-//! frames through gates (word-parallel since the column-major tableau
-//! rework) and *sampling* which shots an error hits (previously one
+//! A noisy run has two very different cost centres: *propagating* errors
+//! through gates and *sampling* which shots an error hits (previously one
 //! `rng.gen_bool(p)` per (gate, shot) pair — the dominant cost at NISQ
 //! rates). [`NoiseProgram`] removes the per-shot draws by compiling a
-//! [`Circuit`] + [`StabilizerNoise`] once into a flat instruction list —
+//! [`Circuit`] + [`StabilizerNoise`] once into a flat instruction tape —
 //! gates interleaved with *injection sites* `(qubits, kind, probability)`
-//! — and then executing sites with [`BernoulliWords`]:
+//! — and then sampling sites with [`BernoulliWords`]:
 //!
 //! * sites are grouped into **probability classes**; each class owns one
 //!   sampler whose geometric-skip cursor runs through the flat
 //!   `(site × shot)` bit-grid, so a sparse class costs one logarithm per
 //!   **hit** rather than one RNG draw per trial;
-//! * a site's hits arrive as whole flip-mask words that are XORed into
-//!   the frame planes, with error letters drawn word-parallel (see
+//! * a site's hits arrive as whole lane-mask words, with error letters
+//!   drawn word-parallel (the draws of
 //!   [`PauliFrames::inject_depolarizing_masked`]);
 //! * consecutive same-class sites are fused at compile time into **site
-//!   runs** executed by [`BernoulliWords::hit_site_runs`]: within a
-//!   layer, gate kernels are emitted before injection sites (legal
-//!   because a layer's gates act on disjoint qubits, so kernels and
-//!   other gates' sites commute; site order — and therefore the RNG
-//!   stream — is unchanged), which makes a layer's two-qubit sites and
-//!   its idle sites contiguous. A run the geometric cursor skips
-//!   entirely costs one division instead of one cursor update per site.
+//!   runs** sampled by [`BernoulliWords::hit_site_runs`]: within a
+//!   layer, gates are emitted before injection sites (legal because a
+//!   layer's gates act on disjoint qubits, so gates and other gates'
+//!   sites commute; site order — and therefore the RNG stream — is
+//!   unchanged), which makes a layer's two-qubit sites and its idle sites
+//!   contiguous. A run the geometric cursor skips entirely costs one
+//!   division instead of one cursor update per site.
+//!
+//! The tape is **sign-exact**: S and S† stay distinct, Paulis stay as
+//! sign-only ops and rotations keep their quarter turns `k mod 4`, so the
+//! tape stands in for the circuit. Each batch runs one *sampling pass*
+//! that records every hit as (tape position, qubit, shot word, letter
+//! words). Two consumers read the records:
+//!
+//! * [`crate::HeisenbergRows::noisy_walk`] (every energy estimator) folds
+//!   them into per-shot flip rows during one reverse walk of the tape,
+//!   which also yields the noiseless expectations;
+//! * [`NoiseProgram::run_threaded`] / [`NoiseProgram::run_randomized`]
+//!   XOR them into Pauli frames during one forward walk, for callers
+//!   that need the frames themselves (the grouped sampling estimator,
+//!   [`crate::run_noisy_frames`]).
 //!
 //! # Batching and seeding
 //!
@@ -32,16 +45,18 @@
 //! `b` seeds its RNG as `seed.derive_index(b)`, so every batch's content
 //! is a pure function of the root seed and its index — results are
 //! bit-identical whether batches run sequentially or on any number of
-//! [`NoiseProgram::run_threaded`] crossbeam workers, and independent of
-//! how the scheduler interleaves them. The batch size is a compromise:
-//! small enough that modest shot budgets split across workers, large
-//! enough that the per-batch circuit walk and sampler setup amortize.
+//! crossbeam workers, and independent of how the scheduler interleaves
+//! them. The batch size is a compromise: small enough that modest shot
+//! budgets split across workers, large enough that the per-batch
+//! sampler setup amortizes.
 
-use crate::frame::PauliFrames;
+use crate::frame::{uniform_nonzero_pair, uniform_nonzero_quad, PauliFrames};
 use crate::noise::{IdleLadder, StabilizerNoise};
+use crate::tableau::{quarter_turns, RotAxis};
 use crossbeam::thread;
 use eftq_circuit::{Circuit, Gate};
 use eftq_numerics::{BernoulliWords, SeedSequence};
+use rand::Rng;
 use std::sync::Arc;
 
 /// Shots per batch: the unit of seed derivation and thread scheduling
@@ -51,31 +66,43 @@ pub const BATCH_SHOTS: usize = 256;
 const WORD_BITS: usize = 64;
 const BATCH_WORDS: usize = BATCH_SHOTS / WORD_BITS;
 
-/// One compiled instruction: a frame kernel or a run of injection sites.
+/// One instruction of a bound program: a sign-exact Clifford gate or a
+/// run of injection sites.
 ///
-/// Gates are pre-classified into their conjugation kernels at compile
-/// time — rotation angles resolve to quarter-turn parities *once*, so the
-/// per-batch walk never touches floating point or re-matches `Gate`
-/// variants, and frame-identity gates (Paulis, even rotations) compile
-/// away entirely. Injection sites are fused into runs of `len`
-/// consecutive same-kind, same-class sites; a run's per-site qubit
-/// arguments live in the side table `site_args[start .. start + len]`.
+/// The tape is *sign-exact*, so it can stand in for the circuit it was
+/// compiled from: S and S† stay distinct, the Paulis stay as sign-only
+/// ops, and a rotation keeps its quarter turns `k mod 4`. The forward
+/// frame walk ignores signs (S and S† share a kernel, Paulis and even
+/// rotations are no-ops); the reverse Heisenberg walk
+/// ([`crate::HeisenbergRows::noisy_walk`]) conjugates by each gate's
+/// inverse with the [`crate::Tableau`] methods. Injection sites are
+/// fused into runs of `len` consecutive same-kind, same-class sites; a
+/// run's per-site qubit arguments live in the side table
+/// `site_args[start .. start + len]`.
 ///
 /// Fields are `u32` (qubit counts and site counts both fit comfortably)
 /// so an op is 16 bytes and the per-batch walk stays cache-resident.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum Op {
-    /// Swap the X/Z planes of `q` (H, odd `Ry`).
-    Hadamard { q: u32 },
-    /// `fz ^= fx` on `q` (S, S†, odd `Rz`).
-    Phase { q: u32 },
-    /// `fx ^= fz` on `q` (odd `Rx`).
-    SqrtX { q: u32 },
-    /// CX conjugation.
+pub(crate) enum Op {
+    /// Hadamard.
+    H { q: u32 },
+    /// Phase gate S.
+    S { q: u32 },
+    /// Inverse phase gate S†.
+    Sdg { q: u32 },
+    /// Pauli X (signs only).
+    X { q: u32 },
+    /// Pauli Y (signs only).
+    Y { q: u32 },
+    /// Pauli Z (signs only).
+    Z { q: u32 },
+    /// Rotation about `axis` by `k` quarter turns, `k ∈ 0..4`.
+    Rot { q: u32, axis: RotAxis, k: u8 },
+    /// CX with control `c` and target `t`.
     Cx { c: u32, t: u32 },
-    /// CZ conjugation.
+    /// CZ.
     Cz { a: u32, b: u32 },
-    /// SWAP conjugation.
+    /// SWAP.
     Swap { a: u32, b: u32 },
     /// Run of single-qubit depolarizing sites (uniform X/Y/Z letter per
     /// hit).
@@ -95,77 +122,88 @@ enum SiteKind {
     Idle,
 }
 
-/// Rotation axis of a symbolic (parameterized) rotation gate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum RotAxis {
-    X,
-    Y,
-    Z,
-}
-
 /// One template instruction: either an already-resolved [`Op`], or a
-/// symbolic rotation whose kernel depends on the genome bound later.
+/// symbolic rotation whose quarter turns come from the genome bound
+/// later.
 ///
-/// `Rot` stays in the instruction stream after binding — the bound
-/// program carries a per-parameter odd-parity bitmask and the batch walk
-/// tests one bit per rotation. That keeps [`NoiseTemplate::bind_clifford`]
-/// allocation-free on the op list (an `Arc` bump instead of a filtered
+/// `Param` stays in the instruction stream after binding — the bound
+/// program carries the genome's quarter turns and the walks look one up
+/// per rotation. That keeps [`NoiseTemplate::bind_clifford`]
+/// allocation-free on the op list (an `Arc` bump instead of a resolved
 /// copy), which matters in genome loops that bind thousands of programs
 /// per second.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum TemplateOp {
     Fixed(Op),
-    Rot { q: u32, param: u32, axis: RotAxis },
+    Param { q: u32, param: u32, axis: RotAxis },
 }
 
-/// Classifies one bound gate into its frame kernel (`None` when the gate
-/// acts trivially on sign-free frames: Paulis, measurements, and
-/// even-quarter-turn rotations; `Rot` for symbolic rotations, resolved
-/// at [`NoiseTemplate::bind_clifford`] time).
+/// One sampled error on one qubit, recorded by a batch's sampling pass:
+/// the shots of lane word `word` whose bits are set in `x | z` receive
+/// the letter `(x, z)` on qubit `q` at the site run at tape position
+/// `pos`. A two-qubit hit is two records at the same `pos`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Hit {
+    pub(crate) pos: u32,
+    pub(crate) q: u32,
+    /// Lane word within the batch.
+    pub(crate) word: u32,
+    pub(crate) x: u64,
+    pub(crate) z: u64,
+}
+
+/// Classifies one gate into its tape instruction (`None` for
+/// measurements and zero-turn rotations, which act as the identity;
+/// `Param` for symbolic rotations, resolved at
+/// [`NoiseTemplate::bind_clifford`] time).
 ///
 /// # Panics
 ///
-/// Panics on non-Clifford rotations, exactly as
-/// [`PauliFrames::apply_gate`] would.
+/// Panics on non-Clifford rotations and on T/T† gates.
 fn compile_gate(g: &Gate) -> Option<TemplateOp> {
-    use crate::tableau::quarter_turns;
     use eftq_circuit::Angle;
-    let odd = |v: f64| quarter_turns(v, g) % 2 == 1;
-    let rot = |q: usize, param: usize, axis| {
-        Some(TemplateOp::Rot {
+    let fixed = |op| Some(TemplateOp::Fixed(op));
+    let rot = |q: usize, axis, v: f64| match quarter_turns(v, g) {
+        0 => None,
+        k => fixed(Op::Rot {
+            q: q as u32,
+            axis,
+            k,
+        }),
+    };
+    let param = |q: usize, param: usize, axis| {
+        Some(TemplateOp::Param {
             q: q as u32,
             param: param as u32,
             axis,
         })
     };
     match *g {
-        Gate::H(q) => Some(TemplateOp::Fixed(Op::Hadamard { q: q as u32 })),
-        Gate::S(q) | Gate::Sdg(q) => Some(TemplateOp::Fixed(Op::Phase { q: q as u32 })),
-        Gate::X(_) | Gate::Y(_) | Gate::Z(_) | Gate::Measure(_) => None,
-        Gate::Cx(c, t) => Some(TemplateOp::Fixed(Op::Cx {
+        Gate::H(q) => fixed(Op::H { q: q as u32 }),
+        Gate::S(q) => fixed(Op::S { q: q as u32 }),
+        Gate::Sdg(q) => fixed(Op::Sdg { q: q as u32 }),
+        Gate::X(q) => fixed(Op::X { q: q as u32 }),
+        Gate::Y(q) => fixed(Op::Y { q: q as u32 }),
+        Gate::Z(q) => fixed(Op::Z { q: q as u32 }),
+        Gate::Measure(_) => None,
+        Gate::Cx(c, t) => fixed(Op::Cx {
             c: c as u32,
             t: t as u32,
-        })),
-        Gate::Cz(a, b) => Some(TemplateOp::Fixed(Op::Cz {
+        }),
+        Gate::Cz(a, b) => fixed(Op::Cz {
             a: a as u32,
             b: b as u32,
-        })),
-        Gate::Swap(a, b) => Some(TemplateOp::Fixed(Op::Swap {
+        }),
+        Gate::Swap(a, b) => fixed(Op::Swap {
             a: a as u32,
             b: b as u32,
-        })),
-        Gate::Rz(q, Angle::Value(v)) => {
-            odd(v).then_some(TemplateOp::Fixed(Op::Phase { q: q as u32 }))
-        }
-        Gate::Rx(q, Angle::Value(v)) => {
-            odd(v).then_some(TemplateOp::Fixed(Op::SqrtX { q: q as u32 }))
-        }
-        Gate::Ry(q, Angle::Value(v)) => {
-            odd(v).then_some(TemplateOp::Fixed(Op::Hadamard { q: q as u32 }))
-        }
-        Gate::Rz(q, Angle::Param(i)) => rot(q, i, RotAxis::Z),
-        Gate::Rx(q, Angle::Param(i)) => rot(q, i, RotAxis::X),
-        Gate::Ry(q, Angle::Param(i)) => rot(q, i, RotAxis::Y),
+        }),
+        Gate::Rz(q, Angle::Value(v)) => rot(q, RotAxis::Z, v),
+        Gate::Rx(q, Angle::Value(v)) => rot(q, RotAxis::X, v),
+        Gate::Ry(q, Angle::Value(v)) => rot(q, RotAxis::Y, v),
+        Gate::Rz(q, Angle::Param(i)) => param(q, i, RotAxis::Z),
+        Gate::Rx(q, Angle::Param(i)) => param(q, i, RotAxis::X),
+        Gate::Ry(q, Angle::Param(i)) => param(q, i, RotAxis::Y),
         ref g => panic!("noise programs cannot compile gate {g}"),
     }
 }
@@ -199,9 +237,9 @@ pub struct NoiseProgram {
     ops: Arc<Vec<TemplateOp>>,
     /// Per-site qubit arguments for site-run ops (shared likewise).
     site_args: Arc<Vec<[u32; 2]>>,
-    /// Bit `p` set ⇔ genome entry `p` is an odd quarter turn; consulted
-    /// by the batch walk at each symbolic rotation.
-    odd: Vec<u64>,
+    /// Genome entry `p` mod 4: the quarter turns of every symbolic
+    /// rotation with parameter `p`.
+    ks: Vec<u8>,
     /// Distinct site probabilities; site-run ops index this table.
     classes: Arc<Vec<f64>>,
     /// Precomputed cumulative idle ladder (satisfies every idle site).
@@ -211,14 +249,14 @@ pub struct NoiseProgram {
 
 /// A noise program compiled from a *symbolic* ansatz circuit: every
 /// structural decision (layering, injection sites, probability classes)
-/// is resolved once, and only the rotation kernels — which depend on the
-/// genome's quarter-turn parities — remain symbolic.
+/// is resolved once, and only the rotations — whose quarter turns come
+/// from the genome — remain symbolic.
 ///
 /// This is the compilation hoist for genome loops: a genetic search
 /// evaluates thousands of genomes that all share the ansatz *structure*,
 /// so [`NoiseTemplate::compile`] runs once per (structure, noise) and
-/// [`NoiseTemplate::bind_clifford`] re-resolves parities per genome — a
-/// single filter pass instead of a full recompile. The bound program is
+/// [`NoiseTemplate::bind_clifford`] copies the genome's quarter turns per
+/// genome instead of recompiling. The bound program is
 /// **identical** to [`NoiseProgram::compile`] on the bound circuit (the
 /// per-genome path is, in fact, how `NoiseProgram::compile` is
 /// implemented), so sampling streams cannot diverge between the two
@@ -401,14 +439,13 @@ impl NoiseTemplate {
     }
 
     /// Resolves the symbolic rotations against a Clifford genome (entry
-    /// `k` means the angle `k·π/2`): odd quarter turns enable their
-    /// kernel, even ones act trivially, exactly as
-    /// [`NoiseProgram::compile`] would on [`eftq_circuit::Ansatz::bind_clifford`]'s
-    /// output.
+    /// `k` means the angle `k·π/2`), exactly as [`NoiseProgram::compile`]
+    /// would on [`eftq_circuit::Ansatz::bind_clifford`]'s output.
     ///
     /// Binding is *zero-copy* on the instruction stream: the bound
-    /// program shares this template's op list and site table, and only a
-    /// `⌈num_params / 64⌉`-word parity bitmask is computed per genome.
+    /// program shares this template's op list and site table, and only
+    /// the genome's quarter turns (`k mod 4`, one byte per parameter) are
+    /// copied per genome.
     ///
     /// # Panics
     ///
@@ -420,17 +457,11 @@ impl NoiseTemplate {
             self.num_params,
             ks.len()
         );
-        let mut odd = vec![0u64; self.num_params.div_ceil(64)];
-        for (p, &k) in ks[..self.num_params].iter().enumerate() {
-            if k % 2 == 1 {
-                odd[p / 64] |= 1u64 << (p % 64);
-            }
-        }
         NoiseProgram {
             n: self.n,
             ops: Arc::clone(&self.ops),
             site_args: Arc::clone(&self.site_args),
-            odd,
+            ks: ks[..self.num_params].iter().map(|k| k % 4).collect(),
             classes: Arc::clone(&self.classes),
             idle: self.idle,
             sites: self.sites,
@@ -603,133 +634,205 @@ impl NoiseProgram {
         randomize: bool,
     ) -> PauliFrames {
         assert!(shots > 0, "at least one shot required");
-        let batches = shots.div_ceil(BATCH_SHOTS);
-        let batch_shots = |b: usize| (shots - b * BATCH_SHOTS).min(BATCH_SHOTS);
-        if batches == 1 {
-            return self.run_batch(shots, seed.derive_index(0), randomize);
+        let batches = map_batches(shots, threads, |b, batch_shots| {
+            self.run_batch(batch_shots, seed.derive_index(b as u64), randomize)
+        });
+        if batches.len() == 1 {
+            return batches.into_iter().next().expect("one batch");
         }
         let mut out = PauliFrames::new(self.n, shots);
-        if threads <= 1 {
-            for b in 0..batches {
-                let f = self.run_batch(batch_shots(b), seed.derive_index(b as u64), randomize);
-                out.splice_words(b * BATCH_WORDS, &f);
-            }
-            return out;
+        for (b, f) in batches.iter().enumerate() {
+            out.splice_words(b * BATCH_WORDS, f);
         }
-        let workers = threads.min(batches);
-        let chunk = batches.div_ceil(workers);
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = (lo + chunk).min(batches);
-                    scope.spawn(move |_| {
-                        (lo..hi)
-                            .map(|b| {
-                                self.run_batch(
-                                    batch_shots(b),
-                                    seed.derive_index(b as u64),
-                                    randomize,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
-                let frames = handle.join().expect("noise-program worker panicked");
-                for (i, f) in frames.into_iter().enumerate() {
-                    out.splice_words((w * chunk + i) * BATCH_WORDS, &f);
-                }
-            }
-        })
-        .expect("noise-program scope panicked");
         out
     }
 
-    /// Evaluates one batch: fresh samplers, fresh RNG, one circuit walk.
-    ///
-    /// Site runs go through the [`BernoulliWords::hit_site_runs`]
-    /// hit-list path: it consumes the exact RNG draws the per-site
-    /// flip-mask path would (so results are bit-identical to the
-    /// pre-hit-list engine), but a run with no hits in the batch — the
-    /// overwhelmingly common case at NISQ rates — costs one division
-    /// instead of a mask fill and scan per site.
+    /// Evaluates one batch: fresh RNG, one sampling pass, then one
+    /// forward frame walk that XORs the recorded hits in at their sites.
     fn run_batch(&self, shots: usize, seed: SeedSequence, randomize: bool) -> PauliFrames {
         let mut rng = seed.rng();
-        let mut samplers: Vec<BernoulliWords> = self
-            .classes
-            .iter()
-            .map(|&p| BernoulliWords::new(p))
-            .collect();
         let mut frames = PauliFrames::new(self.n, shots);
         if randomize {
             frames.randomize_z(&mut rng);
         }
-        let mut hits: Vec<(u32, u64)> = Vec::with_capacity(BATCH_WORDS);
-        for op in self.ops.iter() {
-            let op = match *op {
-                TemplateOp::Fixed(op) => op,
-                TemplateOp::Rot { q, param, axis } => {
-                    if self.odd[param as usize / 64] >> (param as usize % 64) & 1 == 1 {
+        let mut hits = Vec::new();
+        self.sample_batch(shots, &mut rng, &mut hits);
+        let mut next = hits.iter().peekable();
+        for (i, op) in self.ops().enumerate() {
+            match op {
+                Op::H { q } => frames.kernel_hadamard(q as usize),
+                Op::S { q } | Op::Sdg { q } => frames.kernel_phase(q as usize),
+                Op::X { .. } | Op::Y { .. } | Op::Z { .. } => {}
+                Op::Rot { q, axis, k } => {
+                    if k % 2 == 1 {
                         match axis {
                             RotAxis::Z => frames.kernel_phase(q as usize),
                             RotAxis::X => frames.kernel_sqrt_x(q as usize),
                             RotAxis::Y => frames.kernel_hadamard(q as usize),
                         }
                     }
-                    continue;
                 }
-            };
-            match op {
-                Op::Hadamard { q } => frames.kernel_hadamard(q as usize),
-                Op::Phase { q } => frames.kernel_phase(q as usize),
-                Op::SqrtX { q } => frames.kernel_sqrt_x(q as usize),
                 Op::Cx { c, t } => frames.kernel_cx(c as usize, t as usize),
                 Op::Cz { a, b } => frames.kernel_cz(a as usize, b as usize),
                 Op::Swap { a, b } => frames.kernel_swap(a as usize, b as usize),
-                Op::Depol1Run { class, start, len } => {
-                    let args = &self.site_args[start as usize..(start + len) as usize];
-                    samplers[class as usize].hit_site_runs(
-                        shots,
-                        len as usize,
-                        &mut rng,
-                        &mut hits,
-                        |s, h, rng| frames.inject_depolarizing_hits(args[s][0] as usize, h, rng),
-                    );
-                }
-                Op::Depol2Run { class, start, len } => {
-                    let args = &self.site_args[start as usize..(start + len) as usize];
-                    samplers[class as usize].hit_site_runs(
-                        shots,
-                        len as usize,
-                        &mut rng,
-                        &mut hits,
-                        |s, h, rng| {
-                            frames.inject_depolarizing_2q_hits(
-                                args[s][0] as usize,
-                                args[s][1] as usize,
-                                h,
-                                rng,
-                            )
-                        },
-                    );
-                }
-                Op::IdleRun { class, start, len } => {
-                    let args = &self.site_args[start as usize..(start + len) as usize];
-                    let ladder = &self.idle;
-                    samplers[class as usize].hit_site_runs(
-                        shots,
-                        len as usize,
-                        &mut rng,
-                        &mut hits,
-                        |s, h, rng| frames.inject_idle_hits(args[s][0] as usize, h, ladder, rng),
-                    );
+                Op::Depol1Run { .. } | Op::Depol2Run { .. } | Op::IdleRun { .. } => {
+                    while let Some(h) = next.next_if(|h| h.pos == i as u32) {
+                        frames.inject_words(h.q as usize, h.word as usize, h.x, h.z);
+                    }
                 }
             }
         }
         frames
     }
+
+    /// The bound instruction tape, in circuit order: symbolic rotations
+    /// resolved against the genome's quarter turns.
+    pub(crate) fn ops(&self) -> impl DoubleEndedIterator<Item = Op> + ExactSizeIterator + '_ {
+        self.ops.iter().map(|op| match *op {
+            TemplateOp::Fixed(op) => op,
+            TemplateOp::Param { q, param, axis } => Op::Rot {
+                q,
+                axis,
+                k: self.ks[param as usize],
+            },
+        })
+    }
+
+    /// Every error a `shots`-shot run under `seed` injects, one hit list
+    /// per 256-shot batch (batch-local lane words, ascending `pos`).
+    /// Batch `b` samples under `seed.derive_index(b)` with exactly the
+    /// draws [`NoiseProgram::run_threaded`] makes, so these are the hits
+    /// its frames carry; only the sampling shards across `threads`.
+    pub(crate) fn sample_hits(
+        &self,
+        shots: usize,
+        seed: SeedSequence,
+        threads: usize,
+    ) -> Vec<Vec<Hit>> {
+        if self.sites == 0 {
+            return Vec::new();
+        }
+        map_batches(shots, threads, |b, batch_shots| {
+            let mut hits = Vec::new();
+            self.sample_batch(
+                batch_shots,
+                &mut seed.derive_index(b as u64).rng(),
+                &mut hits,
+            );
+            hits
+        })
+    }
+
+    /// One batch's sampling pass: visits the site runs in tape order and
+    /// appends every hit to `out` (batch-local lane words, ascending
+    /// `pos`).
+    ///
+    /// Site runs go through the [`BernoulliWords::hit_site_runs`]
+    /// hit-list path, with each hit's letters drawn right after its
+    /// site's gap draws: the RNG stream is the one the per-site
+    /// flip-mask path defines, but a run with no hits in the batch — the
+    /// overwhelmingly common case at NISQ rates — costs one division
+    /// instead of a mask fill and scan per site.
+    fn sample_batch<R: Rng>(&self, shots: usize, rng: &mut R, out: &mut Vec<Hit>) {
+        let mut samplers: Vec<BernoulliWords> = self
+            .classes
+            .iter()
+            .map(|&p| BernoulliWords::new(p))
+            .collect();
+        let mut buf: Vec<(u32, u64)> = Vec::with_capacity(BATCH_WORDS);
+        for (i, op) in self.ops.iter().enumerate() {
+            let pos = i as u32;
+            let TemplateOp::Fixed(op) = *op else {
+                continue;
+            };
+            let (class, start, len) = match op {
+                Op::Depol1Run { class, start, len }
+                | Op::Depol2Run { class, start, len }
+                | Op::IdleRun { class, start, len } => (class, start, len),
+                _ => continue,
+            };
+            let args = &self.site_args[start as usize..(start + len) as usize];
+            let sampler = &mut samplers[class as usize];
+            let mut push = |q: u32, word: u32, x: u64, z: u64| {
+                if x | z != 0 {
+                    out.push(Hit { pos, q, word, x, z });
+                }
+            };
+            match op {
+                Op::Depol1Run { .. } => {
+                    sampler.hit_site_runs(shots, len as usize, rng, &mut buf, |s, h, rng| {
+                        for &(w, m) in h {
+                            let (x, z) = uniform_nonzero_pair(m, rng);
+                            push(args[s][0], w, x, z);
+                        }
+                    });
+                }
+                Op::Depol2Run { .. } => {
+                    sampler.hit_site_runs(shots, len as usize, rng, &mut buf, |s, h, rng| {
+                        for &(w, m) in h {
+                            let [xa, za, xb, zb] = uniform_nonzero_quad(m, rng);
+                            push(args[s][0], w, xa, za);
+                            push(args[s][1], w, xb, zb);
+                        }
+                    });
+                }
+                _ => {
+                    let ladder = &self.idle;
+                    sampler.hit_site_runs(shots, len as usize, rng, &mut buf, |s, h, rng| {
+                        for &(w, m) in h {
+                            let (mut x, mut z) = (0u64, 0u64);
+                            let mut bits = m;
+                            while bits != 0 {
+                                let bit = bits & bits.wrapping_neg();
+                                let letter = ladder.conditional_letter(rng);
+                                if letter.x_bit() {
+                                    x |= bit;
+                                }
+                                if letter.z_bit() {
+                                    z |= bit;
+                                }
+                                bits &= bits - 1;
+                            }
+                            push(args[s][0], w, x, z);
+                        }
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// Evaluates `f(b, shots in batch b)` for every 256-shot batch of a
+/// `shots`-shot run, sharded across `threads` crossbeam workers, and
+/// returns the results in batch order. Each batch must depend only on
+/// its index, so the output is the same for every `threads` value.
+fn map_batches<T, F>(shots: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, usize) -> T + Sync,
+{
+    let batches = shots.div_ceil(BATCH_SHOTS);
+    let batch_shots = |b: usize| (shots - b * BATCH_SHOTS).min(BATCH_SHOTS);
+    if threads <= 1 || batches == 1 {
+        return (0..batches).map(|b| f(b, batch_shots(b))).collect();
+    }
+    let workers = threads.min(batches);
+    let chunk = batches.div_ceil(workers);
+    let f = &f;
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let lo = w * chunk;
+                let hi = (lo + chunk).min(batches);
+                scope.spawn(move |_| (lo..hi).map(|b| f(b, batch_shots(b))).collect::<Vec<_>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("noise-program worker panicked"))
+            .collect()
+    })
+    .expect("noise-program scope panicked")
 }
 
 #[cfg(test)]
@@ -884,7 +987,7 @@ mod tests {
     #[test]
     fn template_bind_equals_full_compile() {
         // The hoisted path (compile the symbolic ansatz once, bind
-        // quarter-turn parities per genome) must produce the same frames
+        // quarter turns per genome) must produce the same frames
         // as recompiling the bound circuit — for every genome pattern.
         use eftq_circuit::ansatz::{blocked_all_to_all, fully_connected_hea, linear_hea};
         let noise = nisq_like();

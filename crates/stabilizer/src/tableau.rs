@@ -13,12 +13,20 @@
 //! terms instead of generators (⌈T/64⌉ words per column), and walking
 //! the circuit in reverse with each gate's inverse turns every term `P`
 //! into `U†PU`, whose value on `|0…0⟩` is read off its X bits and sign.
-//! That replaces a forward run plus T per-term expectation queries, and
-//! it is how every energy estimator in this crate gets its noiseless
-//! values.
+//! That replaces a forward run plus T per-term expectation queries.
+//!
+//! Walked over a [`NoiseProgram`]'s sign-exact tape instead of a circuit,
+//! the same walk also carries the noise: when it reaches an injection
+//! site, each row holds `P` conjugated back to that site, and a sampled
+//! error flips a shot's value of `P` exactly when it anticommutes with
+//! that row. [`HeisenbergRows::noisy_walk`] folds every hit there, so one
+//! reverse walk gives every energy estimator in this crate both its
+//! noiseless values and every shot's sign flips, with no forward frame
+//! walk.
 
+use crate::program::{Hit, NoiseProgram, Op, BATCH_SHOTS};
 use eftq_circuit::{Angle, Circuit, Gate};
-use eftq_numerics::words;
+use eftq_numerics::{words, SeedSequence};
 use eftq_pauli::PauliString;
 use rand::Rng;
 use std::f64::consts::FRAC_PI_2;
@@ -282,7 +290,9 @@ impl Tableau {
             Gate::Swap(a, b) => self.swap(a, b),
             Gate::Rz(q, Angle::Value(v))
             | Gate::Rx(q, Angle::Value(v))
-            | Gate::Ry(q, Angle::Value(v)) => self.rotate(gate, q, quarter_turns(v, gate)),
+            | Gate::Ry(q, Angle::Value(v)) => {
+                self.rotate(RotAxis::of(gate), q, quarter_turns(v, gate))
+            }
             ref g => panic!("tableau cannot apply gate {g}"),
         }
     }
@@ -301,23 +311,41 @@ impl Tableau {
             Gate::Rz(q, Angle::Value(v))
             | Gate::Rx(q, Angle::Value(v))
             | Gate::Ry(q, Angle::Value(v)) => {
-                self.rotate(gate, q, (4 - quarter_turns(v, gate)) % 4)
+                self.rotate(RotAxis::of(gate), q, (4 - quarter_turns(v, gate)) % 4)
             }
             _ => self.apply_gate(gate),
         }
     }
 
-    /// The rotation `gate` (an `Rz`, `Rx` or `Ry` on `q`) at `k` quarter
-    /// turns.
-    fn rotate(&mut self, gate: &Gate, q: usize, k: u8) {
-        match gate {
-            Gate::Rz(..) => self.apply_quarter_z(q, k),
-            Gate::Rx(..) => {
+    /// Conjugates by the inverse of one bound program gate — the tape
+    /// counterpart of [`Tableau::apply_inverse_gate`]. Site runs leave
+    /// the rows alone.
+    fn apply_inverse_op(&mut self, op: Op) {
+        match op {
+            Op::H { q } => self.h(q as usize),
+            Op::S { q } => self.sdg(q as usize),
+            Op::Sdg { q } => self.s(q as usize),
+            Op::X { q } => self.x_gate(q as usize),
+            Op::Y { q } => self.y_gate(q as usize),
+            Op::Z { q } => self.z_gate(q as usize),
+            Op::Rot { q, axis, k } => self.rotate(axis, q as usize, (4 - k) % 4),
+            Op::Cx { c, t } => self.cx(c as usize, t as usize),
+            Op::Cz { a, b } => self.cz(a as usize, b as usize),
+            Op::Swap { a, b } => self.swap(a as usize, b as usize),
+            Op::Depol1Run { .. } | Op::Depol2Run { .. } | Op::IdleRun { .. } => {}
+        }
+    }
+
+    /// The rotation about `axis` on `q` at `k` quarter turns.
+    fn rotate(&mut self, axis: RotAxis, q: usize, k: u8) {
+        match axis {
+            RotAxis::Z => self.apply_quarter_z(q, k),
+            RotAxis::X => {
                 self.h(q);
                 self.apply_quarter_z(q, k);
                 self.h(q);
             }
-            _ => {
+            RotAxis::Y => {
                 // Ry(θ) = S · Rx(θ) · S†: conjugation order S† first.
                 self.sdg(q);
                 self.h(q);
@@ -674,23 +702,176 @@ impl HeisenbergRows {
                 walk.apply_inverse_gate(g);
             }
         }
-        // ⟨0|±Z-string|0⟩ = ±1; any X bit flips a |0⟩ to |1⟩ ⇒ 0.
-        let rw = walk.rwords;
-        let mut has_x = vec![0u64; rw];
-        for q in 0..walk.n {
-            for (h, &x) in has_x.iter_mut().zip(walk.xcol(q)) {
-                *h |= x;
+        read_off(&walk, out);
+    }
+
+    /// The noiseless expectations *and* every shot's sign flips of a
+    /// `shots`-shot noisy run of `program`, from one reverse walk of its
+    /// tape.
+    ///
+    /// A Pauli error `E` injected at site τ flips a shot's value of row
+    /// `P` exactly when `E` anticommutes with `P` conjugated back to τ —
+    /// and that conjugated row is what the plane holds when the reverse
+    /// walk reaches τ. So the walk first samples the run's errors
+    /// (batch `b` under `seed.derive_index(b)`, with the draws
+    /// [`NoiseProgram::run_threaded`] makes under `seed`, sharded across
+    /// `threads` workers), then, at each site run, folds that run's hits:
+    /// a hit with letter `(x, z)` on qubit `q` XORs `x·zcol_q ⊕ z·xcol_q`
+    /// into its shot's flip row. Flip row bit `r` of shot `s` therefore
+    /// equals bit `s` of [`PauliFrames::flip_plane`] for row `r` on the
+    /// forward frames, and the expectations equal
+    /// [`HeisenbergRows::expectations`] on the circuit the program was
+    /// compiled from, bit for bit.
+    ///
+    /// Cost for G gates, T rows and H hit lanes: `G·⌈T/64⌉ + H·⌈T/64⌉`
+    /// word operations, plus the sampling. The forward path this replaces
+    /// costs the same noiseless `G·⌈T/64⌉` plus `G·⌈S/64⌉ + T·w·⌈S/64⌉`
+    /// for S shots and terms of weight w, so forward frames would win
+    /// only with many shots at a high error rate, where H·⌈T/64⌉ exceeds
+    /// G·⌈S/64⌉ (see docs/PERFORMANCE.md entry 8).
+    ///
+    /// [`PauliFrames::flip_plane`]: crate::PauliFrames::flip_plane
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shots == 0`, on a qubit-count mismatch, or if a
+    /// sampling worker panics.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use eftq_circuit::Circuit;
+    /// use eftq_numerics::SeedSequence;
+    /// use eftq_pauli::PauliString;
+    /// use eftq_stabilizer::{HeisenbergRows, NoiseProgram, StabilizerNoise};
+    ///
+    /// let mut c = Circuit::new(2);
+    /// c.h(0).cx(0, 1);
+    /// let mut noise = StabilizerNoise::noiseless();
+    /// noise.depol_2q = 0.3;
+    /// let program = NoiseProgram::compile(&c, &noise);
+    /// let terms: Vec<PauliString> = ["ZZ", "XX"].iter().map(|s| s.parse().unwrap()).collect();
+    /// let rows = HeisenbergRows::new(2, &terms);
+    /// let walk = rows.noisy_walk(&program, 100, SeedSequence::new(1), 1);
+    /// assert_eq!(walk.expectations(), &[1.0, 1.0]);
+    /// let frames = program.run(100, SeedSequence::new(1));
+    /// let zz = frames.flip_plane(&terms[0]);
+    /// for s in 0..100 {
+    ///     assert_eq!(walk.flip_row(s)[0] & 1, zz[s / 64] >> (s % 64) & 1);
+    /// }
+    /// ```
+    pub fn noisy_walk(
+        &self,
+        program: &NoiseProgram,
+        shots: usize,
+        seed: SeedSequence,
+        threads: usize,
+    ) -> NoisyRows {
+        assert!(shots > 0, "at least one shot required");
+        assert_eq!(program.num_qubits(), self.plane.n, "program size mismatch");
+        let batches = program.sample_hits(shots, seed, threads);
+        let mut walk = self.plane.clone();
+        let tw = walk.rwords;
+        let mut flips = vec![0u64; shots * tw];
+        // Each batch's hits are in tape order: fold them from the back.
+        let mut rests: Vec<&[Hit]> = batches.iter().map(Vec::as_slice).collect();
+        for (i, op) in program.ops().enumerate().rev() {
+            if !matches!(
+                op,
+                Op::Depol1Run { .. } | Op::Depol2Run { .. } | Op::IdleRun { .. }
+            ) {
+                walk.apply_inverse_op(op);
+                continue;
+            }
+            for (b, rest) in rests.iter_mut().enumerate() {
+                while let Some((h, head)) = rest.split_last() {
+                    if h.pos != i as u32 {
+                        break;
+                    }
+                    *rest = head;
+                    let q = h.q as usize;
+                    let (xc, zc) = (walk.xcol(q), walk.zcol(q));
+                    let base = b * BATCH_SHOTS + h.word as usize * WORD_BITS;
+                    let mut lanes = h.x | h.z;
+                    while lanes != 0 {
+                        let lane = lanes.trailing_zeros();
+                        let s = base + lane as usize;
+                        let row = &mut flips[s * tw..(s + 1) * tw];
+                        if h.x >> lane & 1 == 1 {
+                            words::xor_into(row, zc);
+                        }
+                        if h.z >> lane & 1 == 1 {
+                            words::xor_into(row, xc);
+                        }
+                        lanes &= lanes - 1;
+                    }
+                }
             }
         }
-        for (r, e) in out.iter_mut().enumerate() {
-            *e = if plane_get(&has_x, r) {
-                0.0
-            } else if plane_get(&walk.sgn, r) {
-                -1.0
-            } else {
-                1.0
-            };
+        let mut e0 = vec![0.0; self.rows];
+        read_off(&walk, &mut e0);
+        NoisyRows {
+            e0,
+            flips,
+            words: tw,
+            shots,
         }
+    }
+}
+
+/// Reads `⟨0|±Q|0⟩` off every walked row `Q` into `out`: any X bit flips
+/// a `|0⟩` to `|1⟩` and reads 0; a pure Z-string reads `(−1)^sign`.
+fn read_off(walk: &Tableau, out: &mut [f64]) {
+    let mut has_x = vec![0u64; walk.rwords];
+    for q in 0..walk.n {
+        for (h, &x) in has_x.iter_mut().zip(walk.xcol(q)) {
+            *h |= x;
+        }
+    }
+    for (r, e) in out.iter_mut().enumerate() {
+        *e = if plane_get(&has_x, r) {
+            0.0
+        } else if plane_get(&walk.sgn, r) {
+            -1.0
+        } else {
+            1.0
+        };
+    }
+}
+
+/// What one [`HeisenbergRows::noisy_walk`] yields: every row's noiseless
+/// expectation and, per shot, one flip bit per row.
+#[derive(Clone, Debug, PartialEq)]
+pub struct NoisyRows {
+    e0: Vec<f64>,
+    /// Shot `s`'s flip row is `flips[s·words .. (s+1)·words]`.
+    flips: Vec<u64>,
+    words: usize,
+    shots: usize,
+}
+
+impl NoisyRows {
+    /// The noiseless expectation `∈ {−1, 0, +1}` of every row, in row
+    /// order.
+    pub fn expectations(&self) -> &[f64] {
+        &self.e0
+    }
+
+    /// Number of shots.
+    pub fn num_shots(&self) -> usize {
+        self.shots
+    }
+
+    /// Shot `s`'s flip row: bit `r` (lane `r % 64` of word `r / 64`) is
+    /// set iff the shot's errors anticommute with row `r`, i.e. the shot
+    /// reads `−⟨P_r⟩`. Bits past the row count are clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s >= num_shots()`.
+    pub fn flip_row(&self, s: usize) -> &[u64] {
+        assert!(s < self.shots, "shot {s} out of range");
+        &self.flips[s * self.words..(s + 1) * self.words]
     }
 }
 
@@ -714,6 +895,25 @@ pub fn sample_counts<R: Rng + ?Sized>(t: &Tableau, shots: usize, rng: &mut R) ->
             b
         })
         .collect()
+}
+
+/// Rotation axis of an `Rx`, `Ry` or `Rz` gate.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum RotAxis {
+    X,
+    Y,
+    Z,
+}
+
+impl RotAxis {
+    fn of(gate: &Gate) -> Self {
+        match gate {
+            Gate::Rx(..) => RotAxis::X,
+            Gate::Ry(..) => RotAxis::Y,
+            Gate::Rz(..) => RotAxis::Z,
+            g => unreachable!("{g} is not a rotation"),
+        }
+    }
 }
 
 pub(crate) fn quarter_turns(v: f64, gate: &Gate) -> u8 {
